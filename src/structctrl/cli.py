@@ -19,6 +19,7 @@ from .fileio import FORMATS, PatternFormatError, gen_random, parse_pattern, writ
 from .graph_core import StructPattern, build_digraph
 from .oracle import is_structurally_controllable
 from .placement import (
+    design_inputs,
     emit_input_matrix,
     emit_output_matrix,
     enumerate_configurations,
@@ -118,7 +119,7 @@ def _design_report(args, dual: bool) -> int:
         configs = sorted(enum.configurations, key=lambda c: c.sorted_states())
         truncated = enum.truncated
     else:
-        configs = [generate_configuration(g, summary, partitions)]
+        configs = [generate_configuration(g, summary)]
     t2 = time.perf_counter()
 
     kind = "outputs" if dual else "inputs"
@@ -175,11 +176,8 @@ def _cmd_design_outputs(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     pattern = parse_pattern(args.file, args.input_format)
-    g = build_digraph(pattern)
-    summary = min_dedicated_inputs(g)
-    enum = enumerate_configurations(
-        g, summary, natural_partitions(g, summary), limit=args.limit
-    )
+    design = design_inputs(pattern, limit=args.limit)
+    summary, enum = design.summary, design.enumeration
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
@@ -199,6 +197,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     a = parse_pattern(args.a_file, args.input_format)
     b = parse_pattern(args.b_file, args.input_format)
     verdict = is_structurally_controllable(a, b, trials=args.trials, seed=args.seed)

@@ -125,20 +125,22 @@ def _parse_json(text: str) -> StructPattern:
         raise PatternFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise PatternFormatError("pattern JSON must be an object")
-    if "n" in data and "n_rows" not in data:
-        n_rows = n_cols = data["n"]
-    else:
-        try:
-            n_rows, n_cols = data["n_rows"], data["n_cols"]
-        except KeyError as exc:
-            raise PatternFormatError(f"pattern JSON missing key {exc}") from None
+    keys = ("n", "n") if "n" in data and "n_rows" not in data else ("n_rows", "n_cols")
+    for key in keys:
+        if key not in data:
+            raise PatternFormatError(f"pattern JSON missing key {key!r}")
+        if not _is_json_int(data[key]) or data[key] < 0:
+            raise PatternFormatError(f"{key}: expected a non-negative integer, got {data[key]!r}")
+    n_rows, n_cols = data[keys[0]], data[keys[1]]
     raw = data.get("nonzeros", [])
+    if not isinstance(raw, list):
+        raise PatternFormatError(f"nonzeros: expected a list of pairs, got {raw!r}")
     entries = []
     for k, pair in enumerate(raw, start=1):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2):
             raise PatternFormatError(f"nonzeros[{k - 1}]: expected a pair, got {pair!r}")
         i, j = pair
-        if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
+        if not (_is_json_int(i) and _is_json_int(j) and i >= 1 and j >= 1):
             raise PatternFormatError(f"nonzeros[{k - 1}]: indices are one-based integers")
         if i > n_rows or j > n_cols:
             raise PatternFormatError(
@@ -147,6 +149,10 @@ def _parse_json(text: str) -> StructPattern:
         entries.append((k, i, j))
     nonzeros = _dedup(entries, "JSON")
     return StructPattern(n_rows, n_cols, frozenset((i - 1, j - 1) for i, j in nonzeros))
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_mtx(text: str) -> StructPattern:
@@ -164,6 +170,7 @@ def _parse_mtx(text: str) -> StructPattern:
         raise PatternFormatError(f"line 1: unsupported symmetry {symmetry!r}")
 
     dims: tuple[int, int, int] | None = None
+    size_line = 0
     entries: list[tuple[int, int, int]] = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -174,6 +181,7 @@ def _parse_mtx(text: str) -> StructPattern:
             if len(parts) != 3 or not all(_is_int(p) for p in parts):
                 raise PatternFormatError(f"line {line_no}: malformed size line {raw!r}")
             dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+            size_line = line_no
             continue
         if len(parts) < 2 or not _is_int(parts[0]) or not _is_int(parts[1]):
             raise PatternFormatError(f"line {line_no}: malformed entry {raw!r}")
@@ -185,6 +193,10 @@ def _parse_mtx(text: str) -> StructPattern:
         entries.append((line_no, i, j))
     if dims is None:
         raise PatternFormatError("missing size line")
+    if len(entries) != dims[2]:
+        raise PatternFormatError(
+            f"line {size_line}: size line declares {dims[2]} entries, found {len(entries)}"
+        )
     if symmetry == "symmetric":
         entries = entries + [(ln, j, i) for ln, i, j in entries if i != j]
     nonzeros = _dedup(entries, "matrix")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import oracle
 from .graph_core import (
@@ -114,18 +114,10 @@ class PlacementDesign:
     enumeration: EnumerationResult
 
 
-def lowest_index_chooser(candidates: Sequence[int]) -> int:
-    return candidates[0]
-
-
 # ---------------------------------------------------------------------------
 # Internal helpers on raw adjacency arrays.  The public operations convert
 # the immutable dataclasses once and stay on arrays afterwards.
 # ---------------------------------------------------------------------------
-
-
-def _state_adjacency(g: SystemDigraph) -> list[list[int]]:
-    return g.successors()
 
 
 def _in_lefts(adj: Sequence[Sequence[int]], n: int) -> list[list[int]]:
@@ -135,12 +127,6 @@ def _in_lefts(adj: Sequence[Sequence[int]], n: int) -> list[list[int]]:
         for r in row:
             out[r].append(l)
     return out
-
-
-def _max_matching_banned(
-    adj: Sequence[Sequence[int]], n: int, banned: frozenset[int]
-) -> tuple[list[int], list[int], int]:
-    return solve_matching(adj, n, banned_rights=banned)
 
 
 def _avoidable(
@@ -177,7 +163,6 @@ def _absorb_source_sccs(
     scc_members: Sequence[Sequence[int]],
     match_l: Sequence[int],
     match_r: Sequence[int],
-    banned: frozenset[int] = frozenset(),
 ) -> tuple[int, list[int], list[int]]:
     """Augment a maximum matching with one auxiliary left vertex per SCC.
 
@@ -191,7 +176,7 @@ def _absorb_source_sccs(
     aug_adj = list(adj) + [sorted(members) for members in scc_members]
     ml = list(match_l) + [-1] * len(scc_members)
     mr = list(match_r)
-    solve_matching(aug_adj, n, ml, mr, banned_rights=banned)
+    solve_matching(aug_adj, n, ml, mr)
     absorbed = sum(1 for k in range(len(scc_members)) if ml[n + k] != -1)
     real_l = ml[:n]
     real_r = [(-1 if owner >= n else owner) for owner in mr]
@@ -236,7 +221,7 @@ def min_dedicated_inputs(
     if g.n == 0:
         raise ValueError("the system must have at least one state vertex")
 
-    adj = _state_adjacency(g)
+    adj = g.successors()
     if matching is None:
         ml, mr, size = solve_matching(adj, g.n)
         witness = matching_from_pairs(
@@ -274,7 +259,10 @@ def min_dedicated_inputs(
                 edges.add((i, j))
 
     alpha = max_assignability_index(edges, len(assignable), cond.beta)
-    assert alpha == absorbed, "assignability matching disagrees with augmentation"
+    if alpha != absorbed:
+        raise RuntimeError(
+            f"assignability matching gives {alpha}, augmentation absorbed {absorbed}"
+        )
     p = m + cond.beta - alpha
 
     return PlacementSummary(
@@ -287,56 +275,6 @@ def min_dedicated_inputs(
         assignment_edges=frozenset(edges),
         condensation=cond,
     )
-
-
-def assignable_unmatched_in_nontop(
-    g: SystemDigraph, cond: Condensation, m0: Matching
-) -> frozenset[int]:
-    """Right-unmatched vertices that an optimal matching parks in source SCCs.
-
-    ``m0`` must be a maximum matching of the state bipartite graph.  Each
-    returned vertex replaces one of ``m0``'s right-unmatched vertices in a
-    single alternative maximum matching that realizes the assignability
-    index, so the set as a whole is simultaneously right-unmatched.
-    """
-    adj = _state_adjacency(g)
-    ml, mr, _ = _validate_witness(g, m0)
-    source_ids = sorted(cond.non_top_linked)
-    members = [cond.scc_members[j] for j in source_ids]
-    _, _, real_r = _absorb_source_sccs(adj, g.n, members, ml, mr)
-    source_set = set(source_ids)
-    return frozenset(
-        v for v in range(g.n) if real_r[v] == -1 and cond.scc_of[v] in source_set
-    )
-
-
-def assignment_edges(
-    g: SystemDigraph, cond: Condensation, assignable: Sequence[int]
-) -> frozenset[tuple[int, int]]:
-    """Slot-to-SCC assignment options for the assignable vertices.
-
-    Slots are the assignable vertices in ascending order.  Pair (i, j) is
-    included when pinning the rest of the assignable set and forcing some
-    vertex of SCC j unmatched still leaves a maximum matching of full size.
-    """
-    slots = sorted(set(assignable))
-    if not slots:
-        return frozenset()
-    adj = _state_adjacency(g)
-    _, _, full = solve_matching(adj, g.n)
-    pinned = frozenset(slots)
-    ml, mr, size = _max_matching_banned(adj, g.n, pinned)
-    if size != full:
-        return frozenset()  # the set cannot be simultaneously unmatched
-    source_set = set(cond.non_top_linked)
-    avoid = _avoidable(_in_lefts(adj, g.n), g.n, ml, mr, banned=pinned)
-    ext = {cond.scc_of[w] for w in avoid if w not in pinned and cond.scc_of[w] in source_set}
-    edges: set[tuple[int, int]] = set()
-    for i, v in enumerate(slots):
-        edges.add((i, cond.scc_of[v]))
-        for j in ext:
-            edges.add((i, j))
-    return frozenset(edges)
 
 
 def max_assignability_index(
@@ -353,7 +291,8 @@ def max_assignability_index(
     for row in adj:
         row.sort()
     _, _, size = solve_matching(adj, len(scc_ids))
-    assert size <= beta
+    if size > beta:
+        raise RuntimeError(f"assignability index {size} exceeds beta={beta}")
     return size
 
 
@@ -367,7 +306,7 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
     """
     witness = summary.witness_matching
     slots = list(witness.right_unmatched)
-    adj = _state_adjacency(g)
+    adj = g.successors()
     in_lefts = _in_lefts(adj, g.n)
     ml, mr = _matching_to_arrays(witness, g.n)
 
@@ -411,128 +350,28 @@ def _repin(
     return solve_matching(adj, n, ml, mr, banned_rights=banned)
 
 
-def _extra_absorbable(
-    adj: Sequence[Sequence[int]],
-    n: int,
-    pinned: frozenset[int],
-    member_lists: Sequence[Sequence[int]],
-    full_size: int,
-    seed: tuple[Sequence[int], Sequence[int]] | None = None,
-) -> int:
-    """How many of the given SCCs can host additional unmatched vertices
-    while the pinned set stays unmatched at full matching size."""
-    if seed is None:
-        ml, mr, size = _max_matching_banned(adj, n, pinned)
-    else:
-        ml, mr, size = _repin(adj, n, pinned, seed[0], seed[1])
-    if size != full_size:
-        return -1
-    absorbed, _, _ = _absorb_source_sccs(
-        adj, n, member_lists, ml, mr, banned=pinned
-    )
-    return absorbed
-
-
 def generate_configuration(
-    g: SystemDigraph,
-    summary: PlacementSummary,
-    partitions: PartitionSet,
-    chooser: Callable[[Sequence[int]], int] | None = None,
+    g: SystemDigraph, summary: PlacementSummary
 ) -> InputConfiguration:
-    """Build one minimum placement, delegating each pick to ``chooser``.
+    """One minimum placement, read off the absorbed matching.
 
-    Rounds follow the placement structure: first alpha picks of stem roots
-    inside distinct source SCCs (candidates re-filtered each round so the
-    remaining SCC quota stays reachable), then one pick inside every source
-    SCC still uncovered, then the remaining stem roots from the refreshed
-    alternative sets.  The chooser sees the sorted candidate tuple and must
-    return one of its elements; the default takes the lowest index.
+    Absorbing the source SCCs into the witness matching leaves a maximum
+    matching whose m unmatched states lie in alpha distinct source SCCs.
+    Those states, plus the lowest-index member of every source SCC they
+    miss, are a placement of size m + beta - alpha = p.
     """
-    if chooser is None:
-        chooser = lowest_index_chooser
     cond = summary.condensation
-    adj = _state_adjacency(g)
-    full_size = g.n - summary.m
     source_ids = sorted(cond.non_top_linked)
-    source_set = set(source_ids)
-
-    roots: list[int] = []
-    picked: set[int] = set()
-    hit: set[int] = set()
-    in_lefts = _in_lefts(adj, g.n)
-    # Matching that misses every current root; pinning one more root breaks
-    # at most one of its edges, so each round re-augments instead of
-    # matching from scratch.
-    cur_ml, cur_mr = _matching_to_arrays(summary.witness_matching, g.n)
-
-    def pick(candidates: list[int]) -> int:
-        offered = tuple(sorted(candidates))
-        choice = chooser(offered)
-        if choice not in offered:
-            raise ValueError(f"chooser returned {choice}, not among candidates {offered}")
-        picked.add(choice)
-        return choice
-
-    fast_ok: set[int] | None = None  # unmatched set of one optimal continuation
-    for _ in range(summary.alpha):
-        pinned = frozenset(roots)
-        cur_ml, cur_mr, size = _repin(adj, g.n, pinned, cur_ml, cur_mr)
-        assert size == full_size
-        avoid = _avoidable(in_lefts, g.n, cur_ml, cur_mr, banned=pinned)
-        needed = summary.alpha - len(hit)
-        remaining_ids = [k for k in source_ids if k not in hit]
-        if needed > 1 and fast_ok is None:
-            # Anything an optimal continuation leaves unmatched inside an
-            # uncovered source SCC is certainly a viable pick.  The set
-            # stays valid across rounds as long as picks come out of it.
-            _, _, real_r = _absorb_source_sccs(
-                adj,
-                g.n,
-                [cond.scc_members[k] for k in remaining_ids],
-                cur_ml,
-                cur_mr,
-                banned=pinned,
-            )
-            fast_ok = {r for r in range(g.n) if real_r[r] == -1}
-        candidates = []
-        for x in avoid:
-            if x in picked:
-                continue
-            j = cond.scc_of[x]
-            if j not in source_set or j in hit:
-                continue
-            if needed > 1 and x not in fast_ok:
-                remaining = [cond.scc_members[k] for k in remaining_ids if k != j]
-                bonus = _extra_absorbable(
-                    adj, g.n, pinned | {x}, remaining, full_size,
-                    seed=(cur_ml, cur_mr),
-                )
-                if bonus < needed - 1:
-                    continue
-            candidates.append(x)
-        choice = pick(candidates)
-        roots.append(choice)
-        hit.add(cond.scc_of[choice])
-        if fast_ok is not None and choice not in fast_ok:
-            fast_ok = None  # certificate no longer covers the new pick
-
-    for j in source_ids:
-        if j in hit:
-            continue
-        candidates = [v for v in cond.scc_members[j] if v not in picked]
-        pick(candidates)
-        hit.add(j)
-
-    for _ in range(summary.p - summary.beta):
-        pinned = frozenset(roots)
-        cur_ml, cur_mr, size = _repin(adj, g.n, pinned, cur_ml, cur_mr)
-        assert size == full_size
-        avoid = _avoidable(in_lefts, g.n, cur_ml, cur_mr, banned=pinned)
-        candidates = [x for x in avoid if x not in picked]
-        roots.append(pick(candidates))
-
-    assert len(picked) == summary.p
-    return InputConfiguration(frozenset(picked))
+    ml, mr = _matching_to_arrays(summary.witness_matching, g.n)
+    _, _, real_r = _absorb_source_sccs(
+        g.successors(), g.n, [cond.scc_members[j] for j in source_ids], ml, mr
+    )
+    states = {r for r in range(g.n) if real_r[r] == -1}
+    covered = {cond.scc_of[v] for v in states}
+    states.update(cond.scc_members[j][0] for j in source_ids if j not in covered)
+    if len(states) != summary.p:
+        raise RuntimeError(f"placement has {len(states)} states, expected p={summary.p}")
+    return InputConfiguration(frozenset(states))
 
 
 def enumerate_configurations(
@@ -552,7 +391,7 @@ def enumerate_configurations(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     cond = summary.condensation
-    adj = _state_adjacency(g)
+    adj = g.successors()
     a_pattern = pattern_of(g)
     m, alpha, p = summary.m, summary.alpha, summary.p
     source_ids = sorted(cond.non_top_linked)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -100,6 +101,28 @@ def test_parse_json_errors(tmp_path):
         parse_pattern(path)
 
 
+@pytest.mark.parametrize(
+    "payload, where",
+    [
+        ({"n": "3", "nonzeros": []}, "n:"),
+        ({"n_rows": 3, "n_cols": 2.0, "nonzeros": []}, "n_cols:"),
+        ({"n_rows": True, "n_cols": 3, "nonzeros": []}, "n_rows:"),
+        ({"n": 3, "nonzeros": {"1": 2}}, "nonzeros:"),
+        ({"n": 3, "nonzeros": [[True, 1]]}, "nonzeros[0]:"),
+        ({"n": 3, "nonzeros": [[1, 2], [2, True]]}, "nonzeros[1]:"),
+    ],
+)
+def test_parse_json_rejects_wrong_types(tmp_path, capsys, payload, where):
+    a = tmp_path / "bad.json"
+    a.write_text(json.dumps(payload))
+    with pytest.raises(PatternFormatError, match=re.escape(where)):
+        parse_pattern(a)
+    b = tmp_path / "b.el"
+    b.write_text("shape 3 1\n1 1\n")
+    assert run_cli(["verify", str(a), str(b)]) == 2
+    assert f"error: {where}" in capsys.readouterr().err
+
+
 def test_parse_mtx(tmp_path, sync6_pattern):
     path = tmp_path / "sync6.mtx"
     write_pattern(sync6_pattern, path)
@@ -120,6 +143,16 @@ def test_parse_mtx_symmetric(tmp_path):
     path = tmp_path / "sym.mtx"
     path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n")
     assert parse_pattern(path) == StructPattern(3, 3, {(1, 0), (0, 1), (2, 2)})
+
+
+def test_parse_mtx_entry_count_must_match_size_line(tmp_path):
+    path = tmp_path / "count.mtx"
+    for declared in (5, 0):
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate pattern general\n3 3 {declared}\n1 1\n"
+        )
+        with pytest.raises(PatternFormatError, match=f"line 2: .*declares {declared}"):
+            parse_pattern(path)
 
 
 def test_parse_mtx_bad_header(tmp_path):
@@ -236,6 +269,13 @@ def test_cli_verify_infeasible_exits_1(sync6_file, tmp_path, capsys):
     assert "controllable: false" in capsys.readouterr().out
 
 
+def test_cli_verify_negative_trials_exits_2(sync6_file, tmp_path, capsys):
+    b = tmp_path / "b.el"
+    b.write_text("shape 6 3\n1 1\n2 2\n5 3\n")
+    assert run_cli(["verify", str(sync6_file), str(b), "--trials", "-1"]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_cli_design_inputs_all(sync6_file, capsys):
     assert run_cli(["design-inputs", str(sync6_file), "--all", "--emit-b"]) == 0
     out = capsys.readouterr().out
@@ -249,6 +289,13 @@ def test_cli_design_inputs_single(sync6_file, capsys):
     assert run_cli(["design-inputs", str(sync6_file)]) == 0
     out = capsys.readouterr().out
     assert out.count("configuration:") == 1
+
+
+def test_cli_default_designs_worked_example(sync6_file, capsys):
+    assert run_cli(["design-inputs", str(sync6_file)]) == 0
+    assert "configuration: 1 2 6\n" in capsys.readouterr().out
+    assert run_cli(["design-outputs", str(sync6_file)]) == 0
+    assert "configuration: 5 6\n" in capsys.readouterr().out
 
 
 def test_cli_design_outputs(sync6_file, capsys):

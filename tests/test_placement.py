@@ -6,8 +6,6 @@ from structctrl import (
     InputConfiguration,
     StructPattern,
     SystemDigraph,
-    assignable_unmatched_in_nontop,
-    assignment_edges,
     brute_force_minimum,
     build_digraph,
     design_inputs,
@@ -84,42 +82,38 @@ def test_summary_invariants_random():
 
 
 def test_assignable_vertices_worked_example(sync6_graph):
-    cond = strongly_connected_components(sync6_graph)
     m0 = maximum_matching(to_state_bipartite(sync6_graph))
-    assert assignable_unmatched_in_nontop(sync6_graph, cond, m0) == frozenset({0})
+    s = min_dedicated_inputs(sync6_graph, matching=m0)
+    assert s.assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_path():
     g = build_digraph(PATH3)
-    cond = strongly_connected_components(g)
     m0 = maximum_matching(to_state_bipartite(g))
-    assert assignable_unmatched_in_nontop(g, cond, m0) == frozenset({0})
+    assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_two_cycle_perfect_match():
     g = SystemDigraph(2, {(0, 1), (1, 0)})
-    cond = strongly_connected_components(g)
     m0 = maximum_matching(to_state_bipartite(g))
-    assert assignable_unmatched_in_nontop(g, cond, m0) == frozenset()
+    assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset()
 
 
 def test_assignment_edges_worked_example(sync6_graph):
     # Slot 0 is vertex 1 (one-based), which can only live in its own SCC:
     # pinning it and forcing vertex 2 unmatched shrinks the matching.
-    cond = strongly_connected_components(sync6_graph)
-    assert assignment_edges(sync6_graph, cond, [0]) == frozenset({(0, 0)})
+    assert min_dedicated_inputs(sync6_graph).assignment_edges == frozenset({(0, 0)})
 
 
 def test_assignment_edges_empty():
     g = SystemDigraph(2, {(0, 1), (1, 0)})
-    cond = strongly_connected_components(g)
-    assert assignment_edges(g, cond, []) == frozenset()
+    assert min_dedicated_inputs(g).assignment_edges == frozenset()
 
 
 def test_assignment_edges_edgeless_pair():
-    g = build_digraph(EDGELESS2)
-    cond = strongly_connected_components(g)
-    assert assignment_edges(g, cond, [0, 1]) == frozenset({(0, 0), (1, 1)})
+    s = min_dedicated_inputs(build_digraph(EDGELESS2))
+    assert s.assignable_vertices == frozenset({0, 1})
+    assert s.assignment_edges == frozenset({(0, 0), (1, 1)})
 
 
 def test_max_assignability_trivial():
@@ -192,31 +186,24 @@ def test_partition_membership_matches_exhaustive_swaps():
 
 
 def test_generate_worked_example_lowest_index(sync6_graph, sync6_witness):
+    # The witness (edges 0->0, 1->1, 2->3, 3->4) leaves states 2 and 5
+    # unmatched; the source SCCs are the self-loops {0} and {1}.  Absorbing
+    # SCC {0} frees state 0 by moving 0->0 to 0->2, the only free state
+    # either SCC can reach.  SCC {1} would then have to move 1->1 to 1->2,
+    # which 0 now holds, and 0's other edge leads back to the absorbed
+    # state 0.  So the unmatched states {0, 5} hit one source SCC, and the
+    # lowest member of the other, state 1, is added: {0, 1, 5}.  (Taking
+    # SCC {1} first leaves {1, 5} unmatched and adds state 0: the same set.)
     s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
-    parts = natural_partitions(sync6_graph, s)
-    config = generate_configuration(sync6_graph, s, parts)
-    assert config.states == frozenset({0, 1, 4})
-
-
-def test_generate_worked_example_prefers_last(sync6_graph, sync6_witness):
-    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
-    parts = natural_partitions(sync6_graph, s)
-    config = generate_configuration(sync6_graph, s, parts, chooser=lambda c: c[-1])
+    config = generate_configuration(sync6_graph, s)
     assert config.states == frozenset({0, 1, 5})
 
 
 def test_generate_single_self_loop():
     g = build_digraph(SELF_LOOP)
     s = min_dedicated_inputs(g)
-    config = generate_configuration(g, s, natural_partitions(g, s))
+    config = generate_configuration(g, s)
     assert config.states == frozenset({0})
-
-
-def test_generate_rejects_bad_chooser(sync6_graph):
-    s = min_dedicated_inputs(sync6_graph)
-    parts = natural_partitions(sync6_graph, s)
-    with pytest.raises(ValueError, match="chooser"):
-        generate_configuration(sync6_graph, s, parts, chooser=lambda c: -7)
 
 
 def test_enumerate_worked_example(sync6_graph):
@@ -324,7 +311,8 @@ def test_generated_configs_satisfy_structure():
         g = build_digraph(a)
         bg = to_state_bipartite(g)
         s = min_dedicated_inputs(g)
-        config = generate_configuration(g, s, natural_partitions(g, s))
+        config = generate_configuration(g, s)
+        assert len(config.states) == s.p
         assert is_structurally_controllable(a, emit_input_matrix(config, g.n)).controllable
         for j in s.condensation.non_top_linked:
             assert config.states & set(s.condensation.scc_members[j])
