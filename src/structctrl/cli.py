@@ -4,7 +4,8 @@ Subcommands: analyze, design-inputs, design-outputs, enumerate, verify,
 gen, bench.  Reports print as text by default or as a versioned JSON
 document with ``--format json``.  All vertex indices in files and reports
 are one-based; exit codes: 0 success, 1 verify found the pair
-uncontrollable, 2 bad input or usage.
+uncontrollable, 2 bad input or usage, 3 internal error (a broken
+invariant, reported on stderr as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -373,6 +374,9 @@ def run_cli(argv=None) -> int:
     except (PatternFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

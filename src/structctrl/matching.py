@@ -112,16 +112,18 @@ def solve_matching(
 
     ``adj`` holds sorted right-neighbor lists per left vertex.  Edges into
     ``banned_rights`` are skipped, which matches deleting those vertices'
-    in-edges without copying the adjacency.  When seed arrays are given
-    they must describe a valid matching of the restricted graph; the
+    in-edges without copying the adjacency.  Seed arrays come as a pair
+    (one alone raises ``ValueError``) and must describe a valid matching
+    of the restricted graph; the
     engine only augments, so any seed edge that is never on an augmenting
     path stays.  Returns the match arrays and the matching size.
     """
     n_left = len(adj)
-    if match_l is None:
+    if (match_l is None) != (match_r is None):
+        raise ValueError("seed matching needs both match_l and match_r")
+    if match_l is None or match_r is None:
         match_l = [-1] * n_left
         match_r = [-1] * n_right
-    assert match_r is not None
     dist: list[float] = [0.0] * n_left
 
     while True:

@@ -8,9 +8,13 @@ randomized numeric rank check cross-validates the combinatorial verdict on
 small systems, and a subset search provides ground truth for the fast
 placement path.
 
-The matcher here is a deliberately separate, simple augmenting-path
-implementation so that the oracle shares no matching code with the
-placement pipeline it is meant to check.
+The matcher here is deliberately separate from ``matching.py`` so that the
+oracle shares no matching code with the placement pipeline it is meant to
+check.  It is a phase-based augmenting-path matcher with lookahead in the
+style of Pothen and Fan (see Duff, Kaya and Ucar, ACM TOMS 38(2), 2011): a
+greedy start, then phases of one depth-first search per free left vertex
+with one visited stamp per right vertex for the whole call, until a phase
+augments nothing.
 """
 
 from __future__ import annotations
@@ -33,43 +37,87 @@ class OracleVerdict:
 
 
 def _augmenting_matcher(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
-    """Plain augmenting-path matching; returns owner per right vertex (-1 free)."""
+    """Maximum matching by phased DFS with lookahead; returns owner per right (-1 free).
+
+    A greedy pass gives each left vertex its first free right neighbour.
+    Each phase then runs one DFS from every still-free left vertex; a
+    right vertex is visited at most once per phase (``stamp`` holds the
+    phase that last visited it).  Before a left vertex is descended from,
+    its lookahead pointer looks for a free right neighbour to take at
+    once.  Matched rights never become free again, so everything before
+    ``look[l]`` in ``adj[l]`` stays matched and the pointer never moves
+    back: all lookahead scans of one call cost O(E) together.  A phase
+    that augments nothing proves the matching maximum: all its searches
+    failed against one unchanged matching, so a right stamped by an
+    earlier search of the phase leads to no free right.
+    """
     match_r = [-1] * n_right
-    match_l = [-1] * len(adj)
-    for root in range(len(adj)):
-        visited = [False] * n_right
-        stack = [root]
-        iters = [0]
-        chosen: list[int] = []
-        while stack:
-            l = stack[-1]
-            moved = False
-            row = adj[l]
-            while iters[-1] < len(row):
-                r = row[iters[-1]]
-                iters[-1] += 1
-                if visited[r]:
-                    continue
-                visited[r] = True
-                w = match_r[r]
-                if w == -1:
-                    chosen.append(r)
-                    for ll, rr in zip(stack, chosen):
-                        match_l[ll] = rr
-                        match_r[rr] = ll
-                    stack.clear()
-                    moved = True
-                    break
-                chosen.append(r)
-                stack.append(w)
-                iters.append(0)
-                moved = True
+    look = [0] * len(adj)
+    free: list[int] = []
+    for l, row in enumerate(adj):
+        for k, r in enumerate(row):
+            if match_r[r] == -1:
+                match_r[r] = l
+                look[l] = k + 1
                 break
-            if not moved:
-                stack.pop()
-                iters.pop()
-                if chosen:
-                    chosen.pop()
+        else:
+            look[l] = len(row)
+            free.append(l)
+
+    # Every right next to a left on a DFS path is matched: a free left's
+    # neighbours were all taken by the greedy pass, and a pushed left's
+    # lookahead found none of its own free.
+    stamp = [0] * n_right
+    phase = 0
+    while free:
+        phase += 1
+        still_free: list[int] = []
+        for root in free:
+            path_l = [root]
+            path_r: list[int] = []
+            pos = [0]
+            augmented = False
+            while path_l and not augmented:
+                l = path_l[-1]
+                row = adj[l]
+                i = pos[-1]
+                while i < len(row):
+                    r = row[i]
+                    i += 1
+                    if stamp[r] == phase:
+                        continue
+                    stamp[r] = phase
+                    w = match_r[r]
+                    wrow = adj[w]
+                    k = look[w]
+                    while k < len(wrow) and match_r[wrow[k]] != -1:
+                        k += 1
+                    if k < len(wrow):
+                        # w takes its free neighbour, l takes r, and every
+                        # earlier left on the path takes the right it chose.
+                        look[w] = k + 1
+                        match_r[wrow[k]] = w
+                        match_r[r] = l
+                        for ll, rr in zip(path_l, path_r):
+                            match_r[rr] = ll
+                        augmented = True
+                        break
+                    look[w] = k
+                    pos[-1] = i
+                    path_l.append(w)
+                    path_r.append(r)
+                    pos.append(0)
+                    break
+                else:
+                    path_l.pop()
+                    pos.pop()
+                    if path_r:
+                        path_r.pop()
+            if not augmented:
+                still_free.append(root)
+        if len(still_free) == len(free):
+            break
+        free = still_free
     return match_r
 
 
@@ -113,13 +161,12 @@ def is_structurally_controllable(
     accessibility_ok = len(seen) == n
 
     # Left side: the n states followed by one vertex per input column.
-    left_adj: list[list[int]] = [list(row) for row in adj]
     per_input: dict[int, list[int]] = {}
     for i, j in b.nonzeros:
         per_input.setdefault(j, []).append(i)
     for j in range(b.n_cols):
-        left_adj.append(sorted(per_input.get(j, [])))
-    match_r = _augmenting_matcher(left_adj, n)
+        adj.append(sorted(per_input.get(j, [])))
+    match_r = _augmenting_matcher(adj, n)
     dilation_free = all(owner != -1 for owner in match_r)
 
     rank = numeric_rank_check(a, b, trials, seed) if trials > 0 else None

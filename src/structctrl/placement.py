@@ -248,10 +248,11 @@ def min_dedicated_inputs(
         avoid = _avoidable(
             _in_lefts(adj, g.n), g.n, real_l, real_r, banned=frozenset(assignable)
         )
+        assignable_set = set(assignable)
         ext = {
             cond.scc_of[w]
             for w in avoid
-            if w not in set(assignable) and cond.scc_of[w] in source_set
+            if w not in assignable_set and cond.scc_of[w] in source_set
         }
         for i, v in enumerate(assignable):
             edges.add((i, cond.scc_of[v]))

@@ -13,6 +13,7 @@ from structctrl import (
     parse_pattern,
     write_pattern,
 )
+from structctrl import cli
 from structctrl.cli import run_cli
 from brute import random_pattern
 
@@ -333,6 +334,15 @@ def test_cli_unknown_command_exits_2(capsys):
 def test_cli_missing_file_exits_2(capsys):
     assert run_cli(["analyze", "/no/such/file.el"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_3(sync6_file, monkeypatch, capsys):
+    def broken(g, matching=None):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "min_dedicated_inputs", broken)
+    assert run_cli(["analyze", str(sync6_file)]) == 3
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
 def test_cli_malformed_file_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from structctrl import (
     stem_cycle_decomposition,
     to_state_bipartite,
 )
+from structctrl.matching import solve_matching
 from brute import (
     all_matchings,
     all_unmatched_sets,
@@ -82,6 +83,12 @@ def test_maximum_matching_agrees_with_exhaustive_search():
         assert m.size == brute_max_matching_size(bg)
         covered = {r for _, r in m.pairs}
         assert set(m.right_unmatched) == set(range(bg.right_size)) - covered
+
+
+@pytest.mark.parametrize("seed", ["match_l", "match_r"])
+def test_solve_matching_rejects_half_a_seed(seed):
+    with pytest.raises(ValueError, match="both match_l and match_r"):
+        solve_matching([[0], [1]], 2, **{seed: [-1, -1]})
 
 
 def test_force_unmatched_worked_example(sync6_graph):

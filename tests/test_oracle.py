@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,12 +7,18 @@ from structctrl import (
     InputConfiguration,
     StructPattern,
     brute_force_minimum,
+    build_digraph,
     emit_input_matrix,
+    gen_random,
+    generate_configuration,
     is_structurally_controllable,
+    min_dedicated_inputs,
     numeric_cross_check,
     numeric_rank_check,
 )
-from brute import random_pattern
+from structctrl.matching import solve_matching
+from structctrl.oracle import _augmenting_matcher
+from brute import brute_max_matching_size, random_pattern
 
 
 def _dedicated(states, n):
@@ -168,3 +175,51 @@ def test_observability_via_transposes():
             # structural deficiency holds for every realization
             assert obs_rank < n
 
+
+
+def _random_rows(rng, n_left, n_right):
+    """Sorted rows with some empty rows and some rights that no row reaches."""
+    density = rng.random()
+    dead = set(rng.sample(range(n_right), min(n_right, rng.randint(0, 2))))
+    rows = []
+    for _ in range(n_left):
+        if rng.random() < 0.2:
+            rows.append([])
+        else:
+            rows.append([r for r in range(n_right) if r not in dead and rng.random() < density])
+    return rows
+
+
+def test_augmenting_matcher_is_maximum_on_small_bipartite_graphs():
+    rng = random.Random(2024)
+    more_lefts = 0
+    for _ in range(400):
+        n_right = rng.randint(0, 7)
+        n_left = rng.randint(0, 7)
+        more_lefts += n_left > n_right
+        rows = _random_rows(rng, n_left, n_right)
+        match_r = _augmenting_matcher(rows, n_right)
+        assert len(match_r) == n_right
+        pairs = [(l, r) for r, l in enumerate(match_r) if l != -1]
+        assert all(r in rows[l] for l, r in pairs)
+        assert len({l for l, _ in pairs}) == len(pairs)
+        edges = frozenset((l, r) for l, row in enumerate(rows) for r in row)
+        assert len(pairs) == brute_max_matching_size(SimpleNamespace(edges=edges))
+    assert more_lefts > 50
+
+
+def test_oracle_dilation_agrees_with_hopcroft_karp_at_medium_size():
+    # Two independent engines: the oracle's matcher and solve_matching.
+    n = 2000
+    a, _ = gen_random(n, "erdos", seed=11, p_edge=5 / n)
+    g = build_digraph(a)
+    states = sorted(generate_configuration(g, min_dedicated_inputs(g)).states)
+    verdicts = []
+    for chosen in (states, states[1:], states[:-1]):
+        b = emit_input_matrix(InputConfiguration(frozenset(chosen)), n)
+        rows = g.successors() + [[v] for v in chosen]
+        _, _, size = solve_matching(rows, n)
+        verdict = is_structurally_controllable(a, b)
+        assert verdict.dilation_free == (size == n)
+        verdicts.append(verdict.dilation_free)
+    assert verdicts[0] and not all(verdicts)
