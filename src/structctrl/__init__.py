@@ -1,47 +1,21 @@
 """Minimal dedicated input/output placement for structurally controllable LTI systems."""
 
-from .graph_core import (
-    Condensation,
-    StructPattern,
-    SystemDigraph,
-    build_digraph,
-    pattern_of,
-    reachable_from,
-    strongly_connected_components,
-)
+from .graph_core import StructPattern, build_digraph
 from .matching import (
-    BipartiteGraph,
-    Matching,
-    StemCycleDecomposition,
-    avoidable_right_vertices,
-    force_edge,
-    force_unmatched,
-    force_unmatched_all,
     matching_from_pairs,
     maximum_matching,
     stem_cycle_decomposition,
     to_state_bipartite,
 )
-from .oracle import (
-    OracleVerdict,
-    brute_force_minimum,
-    is_structurally_controllable,
-    numeric_cross_check,
-    numeric_rank_check,
-)
+from .oracle import brute_force_minimum, is_structurally_controllable, numeric_cross_check
 from .placement import (
-    EnumerationResult,
     InputConfiguration,
-    PartitionSet,
-    PlacementDesign,
-    PlacementSummary,
     design_inputs,
     design_outputs,
     emit_input_matrix,
     emit_output_matrix,
     enumerate_configurations,
     generate_configuration,
-    max_assignability_index,
     min_dedicated_inputs,
     natural_partitions,
 )
@@ -50,20 +24,9 @@ from .fileio import PatternFormatError, gen_random, parse_pattern, write_pattern
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteGraph",
-    "Condensation",
-    "EnumerationResult",
     "InputConfiguration",
-    "Matching",
-    "OracleVerdict",
-    "PartitionSet",
     "PatternFormatError",
-    "PlacementDesign",
-    "PlacementSummary",
-    "StemCycleDecomposition",
     "StructPattern",
-    "SystemDigraph",
-    "avoidable_right_vertices",
     "brute_force_minimum",
     "build_digraph",
     "design_inputs",
@@ -71,24 +34,16 @@ __all__ = [
     "emit_input_matrix",
     "emit_output_matrix",
     "enumerate_configurations",
-    "force_edge",
-    "force_unmatched",
-    "force_unmatched_all",
     "gen_random",
     "generate_configuration",
     "is_structurally_controllable",
     "matching_from_pairs",
-    "max_assignability_index",
     "maximum_matching",
     "min_dedicated_inputs",
     "natural_partitions",
     "numeric_cross_check",
-    "numeric_rank_check",
     "parse_pattern",
-    "pattern_of",
-    "reachable_from",
     "stem_cycle_decomposition",
-    "strongly_connected_components",
     "to_state_bipartite",
     "write_pattern",
 ]

@@ -86,12 +86,12 @@ def _parse_edgelist(text: str) -> StructPattern:
             continue
         parts = line.split()
         if parts[0] == "n":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_size(parts[1]):
                 raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
             declared = (int(parts[1]), int(parts[1]))
             continue
         if parts[0] == "shape":
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not all(_is_size(p) for p in parts[1:]):
                 raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
             declared = (int(parts[1]), int(parts[2]))
             continue
@@ -178,7 +178,7 @@ def _parse_mtx(text: str) -> StructPattern:
             continue
         parts = line.split()
         if dims is None:
-            if len(parts) != 3 or not all(_is_int(p) for p in parts):
+            if len(parts) != 3 or not all(_is_size(p) for p in parts):
                 raise PatternFormatError(f"line {line_no}: malformed size line {raw!r}")
             dims = (int(parts[0]), int(parts[1]), int(parts[2]))
             size_line = line_no
@@ -201,6 +201,11 @@ def _parse_mtx(text: str) -> StructPattern:
         entries = entries + [(ln, j, i) for ln, i, j in entries if i != j]
     nonzeros = _dedup(entries, "matrix")
     return StructPattern(dims[0], dims[1], frozenset((i - 1, j - 1) for i, j in nonzeros))
+
+
+def _is_size(token: str) -> bool:
+    """A non-negative integer in ASCII digits (``str.isdigit`` also accepts '²')."""
+    return token.isascii() and token.isdigit()
 
 
 def _is_int(token: str) -> bool:

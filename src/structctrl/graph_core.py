@@ -13,9 +13,7 @@ happens at the I/O boundary only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,7 @@ class SystemDigraph:
         return adj
 
     def predecessors(self) -> list[list[int]]:
+        """In-neighbour lists (ascending), rebuilt on each call."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[v].append(u)
@@ -208,20 +207,3 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
         non_top_linked=non_top,
     )
 
-
-def reachable_from(g: SystemDigraph, sources: Iterable[int]) -> frozenset[int]:
-    """All vertices on a directed path from any source (sources included)."""
-    src = list(sources)
-    for s in src:
-        if not (0 <= s < g.n):
-            raise ValueError(f"source vertex {s} outside range 0..{g.n - 1}")
-    adj = g.successors()
-    seen = set(src)
-    queue = deque(sorted(seen))
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)

@@ -36,12 +36,11 @@ class BipartiteGraph:
             if not (0 <= u < self.left_size and 0 <= v < self.right_size):
                 raise ValueError(f"edge ({u}, {v}) outside bipartite vertex ranges")
 
-    def left_adjacency(self, banned_rights: frozenset[int] = frozenset()) -> list[list[int]]:
-        """Sorted left adjacency lists, optionally dropping edges into banned rights."""
+    def left_adjacency(self) -> list[list[int]]:
+        """Sorted left adjacency lists."""
         adj: list[list[int]] = [[] for _ in range(self.left_size)]
         for u, v in self.edges:
-            if v not in banned_rights:
-                adj[u].append(v)
+            adj[u].append(v)
         for lst in adj:
             lst.sort()
         return adj
@@ -95,9 +94,10 @@ def to_state_bipartite(g: SystemDigraph) -> BipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# Hopcroft-Karp engine.  Shared by the public matching operations and by the
-# placement pipeline (which seeds it with an existing matching and extra
-# left vertices).  match_l / match_r use -1 for "unmatched".
+# Hopcroft-Karp engine.  Shared by maximum_matching and by the placement
+# pipeline (which seeds it with an existing matching, adds extra left
+# vertices, and bans right vertices when re-pinning stem roots).
+# match_l / match_r use -1 for "unmatched".
 # ---------------------------------------------------------------------------
 
 
@@ -206,78 +206,6 @@ def maximum_matching(bg: BipartiteGraph) -> Matching:
     """Deterministic maximum matching of ``bg``."""
     ml, mr, _ = solve_matching(bg.left_adjacency(), bg.right_size)
     return _arrays_to_matching(ml, mr)
-
-
-def force_unmatched(bg: BipartiteGraph, v: int) -> Matching:
-    """Maximum matching of ``bg`` with every edge into ``v`` removed.
-
-    The result always leaves ``v`` uncovered.  Its size equals the
-    unconstrained maximum exactly when some maximum matching of ``bg``
-    misses ``v``; callers compare sizes to decide viability.
-    """
-    if not (0 <= v < bg.right_size):
-        raise ValueError(f"right vertex {v} outside range 0..{bg.right_size - 1}")
-    return force_unmatched_all(bg, (v,))
-
-
-def force_unmatched_all(bg: BipartiteGraph, vertices: Iterable[int]) -> Matching:
-    """Like :func:`force_unmatched` but pinning a whole set of right vertices."""
-    banned = frozenset(vertices)
-    for v in banned:
-        if not (0 <= v < bg.right_size):
-            raise ValueError(f"right vertex {v} outside range 0..{bg.right_size - 1}")
-    ml, mr, _ = solve_matching(
-        bg.left_adjacency(), bg.right_size, banned_rights=banned
-    )
-    return _arrays_to_matching(ml, mr)
-
-
-def force_edge(bg: BipartiteGraph, e: tuple[int, int]) -> Matching:
-    """Largest matching of ``bg`` that contains the edge ``e``.
-
-    Both endpoints of ``e`` are removed, the rest is matched maximally, and
-    ``e`` is added back; the result is maximum among matchings containing it.
-    """
-    if e not in bg.edges:
-        raise ValueError(f"edge {e} is not in the bipartite graph")
-    e_left, e_right = e
-    adj = bg.left_adjacency(frozenset((e_right,)))
-    adj[e_left] = []
-    ml, mr, _ = solve_matching(adj, bg.right_size)
-    ml[e_left] = e_right
-    mr[e_right] = e_left
-    return _arrays_to_matching(ml, mr)
-
-
-def avoidable_right_vertices(bg: BipartiteGraph, m: Matching) -> frozenset[int]:
-    """Right vertices missed by at least one maximum matching.
-
-    ``m`` must be a maximum matching of ``bg``.  A covered right vertex is
-    avoidable exactly when it is reachable from an uncovered right vertex
-    through exchange steps: r' -> r'' whenever some left vertex has an edge
-    to r' while currently matched to r''.  One BFS answers the question for
-    every right vertex at once.
-    """
-    match_l = [-1] * bg.left_size
-    for l, r in m.pairs:
-        if (l, r) not in bg.edges:
-            raise ValueError(f"matching edge ({l}, {r}) is not a graph edge")
-        match_l[l] = r
-    covered = {r for _, r in m.pairs}
-    in_lefts: list[list[int]] = [[] for _ in range(bg.right_size)]
-    for u, v in bg.edges:
-        in_lefts[v].append(u)
-
-    seen = {r for r in range(bg.right_size) if r not in covered}
-    queue = deque(sorted(seen))
-    while queue:
-        r = queue.popleft()
-        for l in in_lefts[r]:
-            nxt = match_l[l]
-            if nxt != -1 and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
 
 
 def stem_cycle_decomposition(g: SystemDigraph, m: Matching) -> StemCycleDecomposition:

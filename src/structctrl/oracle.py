@@ -204,20 +204,9 @@ def numeric_rank_check(
     zero to avoid accidental cancellations).  Rank uses the standard
     numerical convention: singular values above
     max(matrix dims) * machine epsilon * largest singular value count.
+    The draws and the rank are those of :func:`numeric_cross_check`.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _check_dims(a, b)
-    if b.n_cols == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(trials):
-        ctrb = _controllability_matrix(
-            _random_realization(a, rng), _random_realization(b, rng)
-        )
-        best = max(best, int(np.linalg.matrix_rank(ctrb)))
-    return best
+    return numeric_cross_check(a, b, trials, seed)[1]
 
 
 def numeric_cross_check(

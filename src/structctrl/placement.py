@@ -120,15 +120,6 @@ class PlacementDesign:
 # ---------------------------------------------------------------------------
 
 
-def _in_lefts(adj: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Per right vertex, the left vertices with an edge into it."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for l, row in enumerate(adj):
-        for r in row:
-            out[r].append(l)
-    return out
-
-
 def _avoidable(
     in_lefts: Sequence[Sequence[int]],
     n: int,
@@ -246,7 +237,7 @@ def min_dedicated_inputs(
         # Slot i keeps its own SCC; any SCC with a vertex that can join the
         # whole assignable set in one maximum matching is open to every slot.
         avoid = _avoidable(
-            _in_lefts(adj, g.n), g.n, real_l, real_r, banned=frozenset(assignable)
+            g.predecessors(), g.n, real_l, real_r, banned=frozenset(assignable)
         )
         assignable_set = set(assignable)
         ext = {
@@ -307,8 +298,7 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
     """
     witness = summary.witness_matching
     slots = list(witness.right_unmatched)
-    adj = g.successors()
-    in_lefts = _in_lefts(adj, g.n)
+    in_lefts = g.predecessors()
     ml, mr = _matching_to_arrays(witness, g.n)
 
     thetas: list[frozenset[int]] = []
@@ -430,7 +420,7 @@ def enumerate_configurations(
         for extra in itertools.product(*pools):
             emit(picks | frozenset(extra))
 
-    in_lefts = _in_lefts(adj, g.n)
+    in_lefts = g.predecessors()
 
     def slot_candidates(slot, picks, seed_ml, seed_mr):
         ml, mr, _ = _repin(adj, g.n, picks, seed_ml, seed_mr)

@@ -68,7 +68,7 @@ def random_strongly_connected_pattern(rng, n, extra_density=0.2):
     strongly-connected shortcut get exercised.  ``er`` rejection-samples
     plain random digraphs.
     """
-    from structctrl import SystemDigraph, strongly_connected_components
+    from structctrl.graph_core import SystemDigraph, strongly_connected_components
 
     style = rng.choice(("cycle", "hub", "er"))
     for _ in range(300):

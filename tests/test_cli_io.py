@@ -351,6 +351,21 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     assert run_cli(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("super.el", "n ²\n1 1\n"),
+        ("shape.el", "shape 3 ³\n1 1\n"),
+        ("negative.mtx", "%%MatrixMarket matrix coordinate pattern general\n-3 -3 0\n"),
+    ],
+)
+def test_cli_bad_size_line_exits_2_with_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(["analyze", str(path)]) == 2
+    assert "line " in capsys.readouterr().err
+
+
 def test_cli_bench_small(capsys):
     assert run_cli(["bench", "--sizes", "30,60", "--degree", "3", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

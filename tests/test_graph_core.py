@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from structctrl import (
-    StructPattern,
-    SystemDigraph,
-    build_digraph,
-    pattern_of,
-    reachable_from,
-    strongly_connected_components,
-)
+from structctrl import StructPattern, build_digraph
+from structctrl.graph_core import SystemDigraph, pattern_of, strongly_connected_components
 from brute import random_pattern
 
 
@@ -119,31 +113,3 @@ def test_strongly_connected_graph_single_scc():
         cond = strongly_connected_components(SystemDigraph(n, edges))
         assert cond.n_sccs == 1
         assert cond.beta == 1
-
-
-def test_reachable_worked_example(sync6_graph):
-    assert reachable_from(sync6_graph, {0}) == frozenset({0, 2, 3, 4, 5})
-
-
-def test_reachable_all_sources(sync6_graph):
-    assert reachable_from(sync6_graph, range(6)) == frozenset(range(6))
-
-
-def test_reachable_sink():
-    g = SystemDigraph(3, {(0, 1), (1, 2)})
-    assert reachable_from(g, {2}) == frozenset({2})
-
-
-def test_reachable_rejects_out_of_range(sync6_graph):
-    with pytest.raises(ValueError):
-        reachable_from(sync6_graph, {6})
-
-
-def test_reachable_monotone_random():
-    rng = random.Random(7)
-    for _ in range(60):
-        g = build_digraph(random_pattern(rng, rng.randint(1, 8), 0.3))
-        verts = list(range(g.n))
-        small = set(rng.sample(verts, rng.randint(0, g.n)))
-        large = small | set(rng.sample(verts, rng.randint(0, g.n)))
-        assert reachable_from(g, small) <= reachable_from(g, large)

@@ -3,20 +3,15 @@ import random
 import pytest
 
 from structctrl import (
-    BipartiteGraph,
-    Matching,
-    SystemDigraph,
-    avoidable_right_vertices,
     build_digraph,
-    force_edge,
-    force_unmatched,
-    force_unmatched_all,
     matching_from_pairs,
     maximum_matching,
     stem_cycle_decomposition,
     to_state_bipartite,
 )
-from structctrl.matching import solve_matching
+from structctrl.graph_core import SystemDigraph
+from structctrl.matching import BipartiteGraph, Matching, solve_matching
+from structctrl.placement import _avoidable
 from brute import (
     all_matchings,
     all_unmatched_sets,
@@ -91,92 +86,31 @@ def test_solve_matching_rejects_half_a_seed(seed):
         solve_matching([[0], [1]], 2, **{seed: [-1, -1]})
 
 
-def test_force_unmatched_worked_example(sync6_graph):
-    bg = to_state_bipartite(sync6_graph)
-    m = force_unmatched(bg, 0)  # vertex 1 one-based
-    assert m.size == 4
-    assert 0 in m.right_unmatched
-
-
-def test_force_unmatched_pinned_pair(sync6_graph):
-    # With vertex 6 excluded as well, vertex 4 cannot take over a slot:
-    # the matching drops to 3 edges.
-    bg = to_state_bipartite(sync6_graph)
-    m = force_unmatched_all(bg, {3, 5})
-    assert m.size == 3
-
-
-def test_force_unmatched_single_self_loop():
-    bg = to_state_bipartite(SystemDigraph(1, {(0, 0)}))
-    assert force_unmatched(bg, 0).size == 0
-
-
-def test_force_unmatched_rejects_out_of_range(sync6_graph):
-    bg = to_state_bipartite(sync6_graph)
-    with pytest.raises(ValueError):
-        force_unmatched(bg, 6)
-
-
-def test_force_unmatched_properties():
+def test_solve_matching_banned_right_properties():
+    # Banning a right vertex's in-edges (as placement._repin does) leaves a
+    # maximum-size matching exactly when some maximum matching misses it.
     rng = random.Random(33)
     for _ in range(60):
         bg = _random_bipartite(rng, rng.randint(1, 6), rng.random())
         best = brute_max_matching_size(bg)
         avoidable = {v for s in all_unmatched_sets(bg) for v in s}
         for v in range(bg.right_size):
-            m = force_unmatched(bg, v)
-            assert v in m.right_unmatched
-            assert m.size in (best, best - 1)
-            assert (m.size == best) == (v in avoidable)
-
-
-def test_force_edge_self_loop():
-    bg = to_state_bipartite(SystemDigraph(1, {(0, 0)}))
-    assert force_edge(bg, (0, 0)).pairs == frozenset({(0, 0)})
-
-
-def test_force_edge_worked_example(sync6_graph):
-    bg = to_state_bipartite(sync6_graph)
-    m = force_edge(bg, (3, 4))
-    assert (3, 4) in m.pairs
-    assert m.size == 4
-    # exhaustive: 4 really is the best among matchings containing (3, 4)
-    best_with = max(len(mm) for mm in all_matchings(bg) if (3, 4) in mm)
-    assert best_with == 4
-
-
-def test_force_edge_path_unique_completion():
-    bg = BipartiteGraph(3, 3, {(0, 1), (1, 2)})
-    assert force_edge(bg, (0, 1)).pairs == frozenset({(0, 1), (1, 2)})
-
-
-def test_force_edge_rejects_non_edge(sync6_graph):
-    bg = to_state_bipartite(sync6_graph)
-    with pytest.raises(ValueError):
-        force_edge(bg, (0, 5))
-
-
-def test_force_edge_properties():
-    rng = random.Random(44)
-    for _ in range(40):
-        bg = _random_bipartite(rng, rng.randint(1, 6), rng.random())
-        if not bg.edges:
-            continue
-        best = brute_max_matching_size(bg)
-        for e in sorted(bg.edges):
-            m = force_edge(bg, e)
-            assert e in m.pairs
-            assert m.size in (best, best - 1)
-            assert m.size == max(len(mm) for mm in all_matchings(bg) if e in mm)
+            _, mr, size = solve_matching(
+                bg.left_adjacency(), bg.right_size, banned_rights=frozenset({v})
+            )
+            assert mr[v] == -1
+            assert size in (best, best - 1)
+            assert (size == best) == (v in avoidable)
 
 
 def test_avoidable_right_vertices_matches_exhaustive():
     rng = random.Random(55)
     for _ in range(60):
-        bg = _random_bipartite(rng, rng.randint(1, 6), rng.random())
-        m = maximum_matching(bg)
+        g = build_digraph(random_pattern(rng, rng.randint(1, 6), rng.random()))
+        bg = to_state_bipartite(g)
+        ml, mr, _ = solve_matching(g.successors(), g.n)
         expected = {v for s in all_unmatched_sets(bg) for v in s}
-        assert avoidable_right_vertices(bg, m) == frozenset(expected)
+        assert _avoidable(g.predecessors(), g.n, ml, mr) == expected
 
 
 def test_stem_cycle_worked_example(sync6_graph, sync6_witness):

@@ -14,10 +14,9 @@ from structctrl import (
     is_structurally_controllable,
     min_dedicated_inputs,
     numeric_cross_check,
-    numeric_rank_check,
 )
 from structctrl.matching import solve_matching
-from structctrl.oracle import _augmenting_matcher
+from structctrl.oracle import _augmenting_matcher, numeric_rank_check
 from brute import brute_max_matching_size, random_pattern
 
 

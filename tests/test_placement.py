@@ -5,7 +5,6 @@ import pytest
 from structctrl import (
     InputConfiguration,
     StructPattern,
-    SystemDigraph,
     brute_force_minimum,
     build_digraph,
     design_inputs,
@@ -13,20 +12,21 @@ from structctrl import (
     emit_input_matrix,
     emit_output_matrix,
     enumerate_configurations,
-    force_unmatched_all,
     generate_configuration,
     is_structurally_controllable,
     matching_from_pairs,
-    max_assignability_index,
     maximum_matching,
     min_dedicated_inputs,
     natural_partitions,
     stem_cycle_decomposition,
-    strongly_connected_components,
     to_state_bipartite,
 )
+from structctrl.graph_core import SystemDigraph, strongly_connected_components
+from structctrl.matching import solve_matching
+from structctrl.placement import max_assignability_index
 from brute import (
     all_maximum_matchings,
+    all_unmatched_sets,
     brute_alpha,
     random_pattern,
     random_strongly_connected_pattern,
@@ -163,8 +163,6 @@ def test_partition_membership_matches_exhaustive_swaps():
     # x belongs to slot j iff swapping x for the slot's vertex, keeping the
     # other unmatched vertices, yields the unmatched set of some maximum
     # matching.  Checked against full maximum-matching enumeration.
-    from brute import all_unmatched_sets
-
     rng = random.Random(303)
     for _ in range(60):
         g = build_digraph(random_pattern(rng, rng.randint(1, 5), rng.random()))
@@ -181,8 +179,10 @@ def test_partition_membership_matches_exhaustive_swaps():
                     continue
                 swapped_ok = (pinned | {x}) in unmatched_sets
                 assert swapped_ok == (x in parts.thetas[j])
-                forced = force_unmatched_all(bg, pinned | {x})
-                assert (forced.size == s.witness_matching.size) == swapped_ok
+                _, _, forced = solve_matching(
+                    bg.left_adjacency(), g.n, banned_rights=pinned | {x}
+                )
+                assert (forced == s.witness_matching.size) == swapped_ok
 
 
 def test_generate_worked_example_lowest_index(sync6_graph, sync6_witness):
@@ -295,8 +295,9 @@ def _root_part(bg, summary, config):
     """A size-m subset of the configuration that some maximum matching misses."""
     import itertools
 
+    unmatched_sets = all_unmatched_sets(bg)
     for combo in itertools.combinations(sorted(config.states), summary.m):
-        if force_unmatched_all(bg, combo).size == summary.witness_matching.size:
+        if frozenset(combo) in unmatched_sets:
             return frozenset(combo)
     return None
 
@@ -318,7 +319,12 @@ def test_generated_configs_satisfy_structure():
             assert config.states & set(s.condensation.scc_members[j])
         roots = _root_part(bg, s, config)
         assert roots is not None
-        forced = force_unmatched_all(bg, roots)
+        witness = next(
+            pairs
+            for pairs in all_maximum_matchings(bg)
+            if {r for _, r in pairs}.isdisjoint(roots)
+        )
+        forced = matching_from_pairs(witness, g.n)
         stem_roots = {stem[0] for stem in stem_cycle_decomposition(g, forced).stems}
         assert stem_roots == roots
 
