@@ -86,21 +86,22 @@ def _parse_edgelist(text: str) -> StructPattern:
             continue
         parts = line.split()
         if parts[0] == "n":
-            if len(parts) != 2 or not _is_size(parts[1]):
+            if len(parts) != 2 or not _is_digits(parts[1]):
                 raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
             declared = (int(parts[1]), int(parts[1]))
             continue
         if parts[0] == "shape":
-            if len(parts) != 3 or not all(_is_size(p) for p in parts[1:]):
+            if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
                 raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
             declared = (int(parts[1]), int(parts[2]))
             continue
         if len(parts) != 2:
             raise PatternFormatError(f"line {line_no}: expected 'i j', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise PatternFormatError(f"line {line_no}: non-integer index in {raw!r}") from None
+        a, b = parts
+        # _is_digits inlined: this loop runs once per entry.
+        if not (line.isascii() and a.isdigit() and b.isdigit()):
+            raise PatternFormatError(f"line {line_no}: indices must be ASCII digits, got {raw!r}")
+        i, j = int(a), int(b)
         if i < 1 or j < 1:
             raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
         entries.append((line_no, i, j))
@@ -178,12 +179,12 @@ def _parse_mtx(text: str) -> StructPattern:
             continue
         parts = line.split()
         if dims is None:
-            if len(parts) != 3 or not all(_is_size(p) for p in parts):
+            if len(parts) != 3 or not all(_is_digits(p) for p in parts):
                 raise PatternFormatError(f"line {line_no}: malformed size line {raw!r}")
             dims = (int(parts[0]), int(parts[1]), int(parts[2]))
             size_line = line_no
             continue
-        if len(parts) < 2 or not _is_int(parts[0]) or not _is_int(parts[1]):
+        if len(parts) < 2 or not _is_digits(parts[0]) or not _is_digits(parts[1]):
             raise PatternFormatError(f"line {line_no}: malformed entry {raw!r}")
         i, j = int(parts[0]), int(parts[1])  # trailing values ignored
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1]):
@@ -203,17 +204,13 @@ def _parse_mtx(text: str) -> StructPattern:
     return StructPattern(dims[0], dims[1], frozenset((i - 1, j - 1) for i, j in nonzeros))
 
 
-def _is_size(token: str) -> bool:
-    """A non-negative integer in ASCII digits (``str.isdigit`` also accepts '²')."""
+def _is_digits(token: str) -> bool:
+    """A non-negative integer in ASCII digits only.
+
+    ``str.isdigit`` alone also accepts '²', and ``int`` also accepts signs,
+    underscores and non-ASCII digits such as '١'.
+    """
     return token.isascii() and token.isdigit()
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 def write_pattern(

@@ -95,8 +95,8 @@ def to_state_bipartite(g: SystemDigraph) -> BipartiteGraph:
 
 # ---------------------------------------------------------------------------
 # Hopcroft-Karp engine.  Shared by maximum_matching and by the placement
-# pipeline (which seeds it with an existing matching, adds extra left
-# vertices, and bans right vertices when re-pinning stem roots).
+# pipeline (which seeds it with an existing matching and adds auxiliary
+# left vertices).
 # match_l / match_r use -1 for "unmatched".
 # ---------------------------------------------------------------------------
 
@@ -106,17 +106,14 @@ def solve_matching(
     n_right: int,
     match_l: list[int] | None = None,
     match_r: list[int] | None = None,
-    banned_rights: frozenset[int] = frozenset(),
 ) -> tuple[list[int], list[int], int]:
     """Maximum bipartite matching via Hopcroft-Karp, optionally seeded.
 
-    ``adj`` holds sorted right-neighbor lists per left vertex.  Edges into
-    ``banned_rights`` are skipped, which matches deleting those vertices'
-    in-edges without copying the adjacency.  Seed arrays come as a pair
-    (one alone raises ``ValueError``) and must describe a valid matching
-    of the restricted graph; the
-    engine only augments, so any seed edge that is never on an augmenting
-    path stays.  Returns the match arrays and the matching size.
+    ``adj`` holds sorted right-neighbor lists per left vertex.  Seed arrays
+    come as a pair (one alone raises ``ValueError``) and must describe a
+    valid matching of ``adj``; the engine only augments, so any seed edge
+    that is never on an augmenting path stays.  Returns the match arrays
+    and the matching size.
     """
     n_left = len(adj)
     if (match_l is None) != (match_r is None):
@@ -142,8 +139,6 @@ def solve_matching(
             if dist[l] >= dist_free:
                 continue
             for r in adj[l]:
-                if banned_rights and r in banned_rights:
-                    continue
                 w = match_r[r]
                 if w == -1:
                     if dist_free == _INF:
@@ -157,13 +152,13 @@ def solve_matching(
         ptr = [0] * n_left
         for root in range(n_left):
             if match_l[root] == -1:
-                _augment(root, adj, match_l, match_r, dist, dist_free, ptr, banned_rights)
+                _augment(root, adj, match_l, match_r, dist, dist_free, ptr)
 
     size = sum(1 for r in match_l if r != -1)
     return match_l, match_r, size
 
 
-def _augment(root, adj, match_l, match_r, dist, dist_free, ptr, banned_rights) -> bool:
+def _augment(root, adj, match_l, match_r, dist, dist_free, ptr) -> bool:
     stack = [root]
     chosen: list[int] = []
     while stack:
@@ -173,8 +168,6 @@ def _augment(root, adj, match_l, match_r, dist, dist_free, ptr, banned_rights) -
         while ptr[l] < len(neighbors):
             r = neighbors[ptr[l]]
             ptr[l] += 1
-            if banned_rights and r in banned_rights:
-                continue
             w = match_r[r]
             if w == -1:
                 if dist[l] + 1 == dist_free:

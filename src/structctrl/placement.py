@@ -22,6 +22,10 @@ maximum -- greedy per-vertex probing can undershoot it.
 The same machinery characterizes every minimum placement: a state set C of
 size p works if and only if some maximum matching misses exactly C's
 "root" part and the rest of C covers the source SCCs the roots miss.
+Enumeration lists those root sets by Lawler's partition scheme, repairing
+each search node's absorbed matching from its parent's with one exchange
+search and at most one re-absorption.  So it has polynomial delay: at most
+m + 1 witness calls per root set, plus one oracle call per placement.
 """
 
 from __future__ import annotations
@@ -122,19 +126,20 @@ class PlacementDesign:
 
 def _avoidable(
     in_lefts: Sequence[Sequence[int]],
-    n: int,
     match_l: Sequence[int],
-    match_r: Sequence[int],
+    sources: Sequence[int],
     banned: frozenset[int] = frozenset(),
 ) -> set[int]:
-    """Rights missed by some maximum matching of the banned-edge graph.
+    """``sources`` plus every right they can hand their freedom to.
 
-    ``match_l``/``match_r`` must describe a maximum matching of that graph.
-    BFS over exchange steps: a left vertex matched to r'' and adjacent to a
-    freeable r' can release r''.  Banned rights have no in-edges in the
-    restricted graph, so nothing propagates out of them.
+    ``match_l`` must describe a maximum matching that leaves ``sources``
+    unmatched.  BFS over exchange steps: a left vertex matched to r'' and
+    adjacent to a freeable r' can release r''.  Every step lands on a
+    matched right, so the other unmatched rights are never reached.
+    Banned rights have no in-edges in the restricted graph, so nothing
+    propagates out of them.
     """
-    seen = {r for r in range(n) if match_r[r] == -1}
+    seen = set(sources)
     queue = deque(sorted(seen))
     while queue:
         r = queue.popleft()
@@ -151,27 +156,27 @@ def _avoidable(
 def _absorb_source_sccs(
     adj: Sequence[Sequence[int]],
     n: int,
-    scc_members: Sequence[Sequence[int]],
-    match_l: Sequence[int],
-    match_r: Sequence[int],
-) -> tuple[int, list[int], list[int]]:
-    """Augment a maximum matching with one auxiliary left vertex per SCC.
+    aux_rows: Sequence[Sequence[int]],
+    match_l: list[int],
+    match_r: list[int],
+) -> int:
+    """Augment a matching in place with one auxiliary left vertex per SCC.
 
-    Auxiliary vertex k is adjacent to exactly the members of
-    ``scc_members[k]``.  Returns how many auxiliary vertices the optimal
-    matching absorbs plus the real match arrays afterwards (auxiliary
-    coverage stripped back to "unmatched").  The real part stays a maximum
-    matching throughout, so the absorbed count is the number of distinct
-    SCCs that simultaneously hold right-unmatched vertices.
+    Auxiliary vertex k is left vertex n + k, adjacent to ``aux_rows[k]``
+    (the members of source SCC k that it may take); ``match_l`` holds the
+    real and the auxiliary vertices.  Returns how many auxiliary vertices
+    the optimal matching absorbs.  Augmenting paths never unmatch a left
+    vertex, so a real part that starts maximum stays maximum, and the
+    absorbed count is the number of distinct SCCs that simultaneously hold
+    right-unmatched vertices.
     """
-    aug_adj = list(adj) + [sorted(members) for members in scc_members]
-    ml = list(match_l) + [-1] * len(scc_members)
-    mr = list(match_r)
-    solve_matching(aug_adj, n, ml, mr)
-    absorbed = sum(1 for k in range(len(scc_members)) if ml[n + k] != -1)
-    real_l = ml[:n]
-    real_r = [(-1 if owner >= n else owner) for owner in mr]
-    return absorbed, real_l, real_r
+    solve_matching(list(adj) + list(aux_rows), n, match_l, match_r)
+    return sum(1 for l in range(n, len(match_l)) if match_l[l] != -1)
+
+
+def _roots(match_r: Sequence[int], n: int) -> list[int]:
+    """Rights no real left vertex matches (auxiliary owners count as none)."""
+    return [r for r in range(n) if not 0 <= match_r[r] < n]
 
 
 def _matching_to_arrays(m: Matching, n: int) -> tuple[list[int], list[int]]:
@@ -227,18 +232,17 @@ def min_dedicated_inputs(
     source_ids = sorted(cond.non_top_linked)
     members = [cond.scc_members[j] for j in source_ids]
 
-    absorbed, real_l, real_r = _absorb_source_sccs(adj, g.n, members, ml, mr)
+    ml = ml + [-1] * len(members)
+    absorbed = _absorb_source_sccs(adj, g.n, members, ml, mr)
     source_set = set(source_ids)
-    basis = [r for r in range(g.n) if real_r[r] == -1]
+    basis = _roots(mr, g.n)
     assignable = sorted(v for v in basis if cond.scc_of[v] in source_set)
 
     edges: set[tuple[int, int]] = set()
     if assignable:
         # Slot i keeps its own SCC; any SCC with a vertex that can join the
         # whole assignable set in one maximum matching is open to every slot.
-        avoid = _avoidable(
-            g.predecessors(), g.n, real_l, real_r, banned=frozenset(assignable)
-        )
+        avoid = _avoidable(g.predecessors(), ml, basis, banned=frozenset(assignable))
         assignable_set = set(assignable)
         ext = {
             cond.scc_of[w]
@@ -293,22 +297,16 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
 
     For slot j of a right-unmatched vertex v_j: every state x such that
     swapping v_j for x (keeping the other unmatched vertices pinned) still
-    admits a maximum matching.  The remaining p - m slots share the union
-    of the source-SCC vertex sets.
+    admits a maximum matching.  That is v_j plus its exchange closure under
+    the witness, one BFS from v_j alone.  The remaining p - m slots share
+    the union of the source-SCC vertex sets.
     """
-    witness = summary.witness_matching
-    slots = list(witness.right_unmatched)
     in_lefts = g.predecessors()
-    ml, mr = _matching_to_arrays(witness, g.n)
-
-    thetas: list[frozenset[int]] = []
-    for j, vj in enumerate(slots):
-        pinned = frozenset(v for v in slots if v != vj)
-        # The witness itself is a maximum matching of the graph with the
-        # pinned in-edges removed, so it can seed the exchange search.
-        avoid = _avoidable(in_lefts, g.n, ml, mr, banned=pinned)
-        thetas.append(frozenset(avoid - pinned))
-
+    ml, _ = _matching_to_arrays(summary.witness_matching, g.n)
+    thetas = [
+        frozenset(_avoidable(in_lefts, ml, [vj]))
+        for vj in summary.witness_matching.right_unmatched
+    ]
     cond = summary.condensation
     union_sources = frozenset(
         v for j in cond.non_top_linked for v in cond.scc_members[j]
@@ -317,28 +315,18 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
     return PartitionSet(tuple(thetas), split=summary.m)
 
 
-def _repin(
-    adj: Sequence[Sequence[int]],
-    n: int,
-    banned: frozenset[int],
-    ml: Sequence[int],
-    mr: Sequence[int],
-) -> tuple[list[int], list[int], int]:
-    """Maximum matching of the graph minus the banned rights' in-edges,
-    seeded with a matching of the unrestricted graph.
-
-    Seed edges into newly banned rights are dropped first; only those few
-    vertices can need re-augmenting, so this is far cheaper than matching
-    from scratch when the seed was already maximum.
-    """
-    ml = list(ml)
-    mr = list(mr)
-    for r in banned:
-        l = mr[r]
-        if l != -1:
-            mr[r] = -1
-            ml[l] = -1
-    return solve_matching(adj, n, ml, mr, banned_rights=banned)
+def _absorbed_witness(
+    adj: Sequence[Sequence[int]], summary: PlacementSummary
+) -> tuple[list[int], list[int]]:
+    """The summary's witness with its source SCCs absorbed (real and
+    auxiliary match arrays, auxiliary k being left vertex n + k)."""
+    n = len(adj)
+    cond = summary.condensation
+    members = [cond.scc_members[j] for j in sorted(cond.non_top_linked)]
+    ml, mr = _matching_to_arrays(summary.witness_matching, n)
+    ml += [-1] * len(members)
+    _absorb_source_sccs(adj, n, members, ml, mr)
+    return ml, mr
 
 
 def generate_configuration(
@@ -352,17 +340,95 @@ def generate_configuration(
     miss, are a placement of size m + beta - alpha = p.
     """
     cond = summary.condensation
-    source_ids = sorted(cond.non_top_linked)
-    ml, mr = _matching_to_arrays(summary.witness_matching, g.n)
-    _, _, real_r = _absorb_source_sccs(
-        g.successors(), g.n, [cond.scc_members[j] for j in source_ids], ml, mr
-    )
-    states = {r for r in range(g.n) if real_r[r] == -1}
+    _, mr = _absorbed_witness(g.successors(), summary)
+    states = set(_roots(mr, g.n))
     covered = {cond.scc_of[v] for v in states}
-    states.update(cond.scc_members[j][0] for j in source_ids if j not in covered)
+    states.update(
+        cond.scc_members[j][0] for j in sorted(cond.non_top_linked) if j not in covered
+    )
     if len(states) != summary.p:
         raise RuntimeError(f"placement has {len(states)} states, expected p={summary.p}")
     return InputConfiguration(frozenset(states))
+
+
+# Role of a state in a search node of the enumeration: forced into the
+# root set (IN) or out of it (OUT); 0 leaves it free.
+_IN, _OUT = 1, 2
+
+
+def _exchange_out(
+    in_lefts: Sequence[Sequence[int]],
+    role: Sequence[int],
+    match_l: Sequence[int],
+    match_r: Sequence[int],
+    s: int,
+) -> tuple[list[int], list[int], int] | None:
+    """Cover root ``s`` by a real left vertex and free the first non-OUT
+    state that a BFS over exchange steps through OUT states reaches.
+
+    Returns copies of the match arrays with that path applied (an auxiliary
+    vertex that held ``s`` is left unmatched) and the freed state, or None.
+    """
+    prev = {s: (-1, -1)}
+    queue = [s]
+    for r in queue:
+        for l in in_lefts[r]:
+            nxt = match_l[l]
+            if nxt == -1 or nxt in prev:
+                continue
+            prev[nxt] = (l, r)
+            if role[nxt] == _OUT:
+                queue.append(nxt)
+                continue
+            ml, mr = list(match_l), list(match_r)
+            if mr[s] != -1:
+                ml[mr[s]] = -1
+            mr[nxt] = -1
+            cur = nxt
+            while cur != s:
+                left, cur = prev[cur]
+                ml[left] = cur
+                mr[cur] = left
+            return ml, mr, nxt
+    return None
+
+
+def _child_witness(
+    adj: Sequence[Sequence[int]],
+    in_lefts: Sequence[Sequence[int]],
+    members: Sequence[Sequence[int]],
+    role: Sequence[int],
+    parent: tuple[list[int], list[int], list[int]],
+    s: int,
+    alpha: int,
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Absorbed matching and sorted root set of the child whose OUT gained
+    the parent's root ``s``, or None; ``role`` marks the child's IN and OUT.
+
+    If an auxiliary vertex held ``s``, the source SCCs are re-absorbed from
+    the repaired matching: real left vertices may not take IN states,
+    auxiliary ones may not take OUT states, and alpha must be absorbed.
+    """
+    n = len(adj)
+    found = _exchange_out(in_lefts, role, parent[0], parent[1], s)
+    if found is None:
+        return None
+    ml, mr, freed = found
+    roots = [r for r in parent[2] if r != s] + [freed]
+    if parent[1][s] >= n:
+        rows = list(adj)
+        for r in roots:
+            if role[r] == _IN:
+                for l in in_lefts[r]:
+                    rows[l] = [x for x in adj[l] if role[x] != _IN]
+        aux_rows = [[v for v in mem if role[v] != _OUT] for mem in members]
+        if _absorb_source_sccs(rows, n, aux_rows, ml, mr) < alpha:
+            return None
+        # Augmenting from auxiliary vertices only hands real-matched states
+        # to auxiliary vertices and real vertices onto free roots.
+        roots.extend(ml[n:])
+        roots = [r for r in set(roots) if r != -1 and not 0 <= mr[r] < n]
+    return ml, mr, sorted(roots)
 
 
 def enumerate_configurations(
@@ -373,89 +439,80 @@ def enumerate_configurations(
 ) -> EnumerationResult:
     """All minimum placements as sets, up to ``limit``.
 
-    Depth-first search over the per-slot candidate sets with two prunes:
-    partial root picks must stay simultaneously unmatchable, and enough
-    slots must remain to reach alpha distinct source SCCs.  Completed
-    candidates pass through the structural-controllability oracle as a
-    safety net; the rejection counter should stay at zero.
+    A minimum placement is a root set R (the m states some maximum matching
+    leaves unmatched, hitting alpha source SCCs) plus one member of each
+    source SCC that R misses.  Root sets are listed depth first by Lawler's
+    partition scheme (Management Science 18(7), 1972; Uno, ISAAC 1997, for
+    matchings): node (IN, OUT) holds the root sets containing IN and
+    avoiding OUT, its witness R is one of them, and with free =
+    sorted(R - IN) child t is (IN + free[:t], OUT + {free[t]}).  A child's
+    witness is repaired exactly from its parent's, so enumeration has
+    polynomial delay: at most m + 1 witness calls per root set, plus one
+    oracle call per placement.  Repeated placements are dropped.
+
+    ``partitions`` is not used.  The oracle is a safety net; the rejection
+    counter should stay at zero.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
+    n, alpha = g.n, summary.alpha
     cond = summary.condensation
     adj = g.successors()
+    in_lefts = g.predecessors()
     a_pattern = pattern_of(g)
-    m, alpha, p = summary.m, summary.alpha, summary.p
     source_ids = sorted(cond.non_top_linked)
-    source_set = set(source_ids)
+    members = [cond.scc_members[j] for j in source_ids]
 
     configs: list[InputConfiguration] = []
     seen: set[frozenset[int]] = set()
-    seen_bases: set[frozenset[int]] = set()
     rejections = 0
-    truncated = False
 
-    class _Stop(Exception):
-        pass
-
-    def emit(states: frozenset[int]) -> None:
-        nonlocal rejections, truncated
-        if states in seen:
-            return
-        seen.add(states)
-        b = emit_input_matrix(InputConfiguration(states), g.n)
-        if not oracle.is_structurally_controllable(a_pattern, b).controllable:
-            rejections += 1
-            return
-        if len(configs) >= limit:
-            truncated = True
-            raise _Stop
-        configs.append(InputConfiguration(states))
-
-    def complete_roots(picks: frozenset[int], hit: frozenset[int]) -> None:
-        if len(hit) != alpha or picks in seen_bases:
-            return
-        seen_bases.add(picks)
-        uncovered = [j for j in source_ids if j not in hit]
-        pools = [sorted(cond.scc_members[j]) for j in uncovered]
+    def emit(roots: list[int]) -> bool:
+        """Add R's completions; False once a placement past ``limit`` appears."""
+        nonlocal rejections
+        hit = {cond.scc_of[r] for r in roots}
+        pools = [mem for j, mem in zip(source_ids, members) if j not in hit]
+        if len(pools) != summary.p - summary.m:
+            raise RuntimeError(f"root set hits {len(members) - len(pools)} source "
+                               f"SCCs, expected alpha={alpha}")
+        base = frozenset(roots)
         for extra in itertools.product(*pools):
-            emit(picks | frozenset(extra))
+            states = base.union(extra)
+            if states in seen:
+                continue
+            seen.add(states)
+            b = emit_input_matrix(InputConfiguration(states), n)
+            if not oracle.is_structurally_controllable(a_pattern, b).controllable:
+                rejections += 1
+                continue
+            if len(configs) >= limit:
+                return False
+            configs.append(InputConfiguration(states))
+        return True
 
-    in_lefts = g.predecessors()
-
-    def slot_candidates(slot, picks, seed_ml, seed_mr):
-        ml, mr, _ = _repin(adj, g.n, picks, seed_ml, seed_mr)
-        avoid = _avoidable(in_lefts, g.n, ml, mr, banned=picks)
-        return sorted(partitions.thetas[slot] & (avoid - picks)), ml, mr
-
-    base_ml, base_mr = _matching_to_arrays(summary.witness_matching, g.n)
-
-    # Explicit DFS stack: one candidate iterator per slot; each frame keeps
-    # the maximum matching missing its picks so children re-augment cheaply.
-    try:
-        if m == 0:
-            complete_roots(frozenset(), frozenset())
-        else:
-            first, ml0, mr0 = slot_candidates(0, frozenset(), base_ml, base_mr)
-            stack = [(iter(first), frozenset(), frozenset(), ml0, mr0)]
-            while stack:
-                candidates, picks, hit, ml, mr = stack[-1]
-                x = next(candidates, None)
-                if x is None:
-                    stack.pop()
-                    continue
-                j = cond.scc_of[x]
-                new_hit = hit | {j} if j in source_set else hit
-                slot = len(stack)  # next slot index after picking x
-                if len(new_hit) + (m - slot) < alpha:
-                    continue
-                new_picks = picks | {x}
-                if slot == m:
-                    complete_roots(new_picks, new_hit)
-                else:
-                    cands, cml, cmr = slot_candidates(slot, new_picks, ml, mr)
-                    stack.append((iter(cands), new_picks, new_hit, cml, cmr))
-    except _Stop:
-        pass
+    ml, mr = _absorbed_witness(adj, summary)
+    roots = _roots(mr, n)
+    truncated = not emit(roots)
+    role = [0] * n
+    # One frame per node on the DFS path: its free roots, the next child
+    # to try, and its witness (matching and root set).
+    stack = [[roots, 0, (ml, mr, roots)]]
+    while stack and not truncated:
+        frame = stack[-1]
+        free, t, witness = frame
+        if t:
+            role[free[t - 1]] = _IN
+        if t == len(free):
+            for r in free:
+                role[r] = 0
+            stack.pop()
+            continue
+        frame[1] = t + 1
+        role[free[t]] = _OUT
+        child = _child_witness(adj, in_lefts, members, role, witness, free[t], alpha)
+        if child is not None:
+            truncated = not emit(child[2])
+            stack.append([[r for r in child[2] if not role[r]], 0, child])
 
     return EnumerationResult(tuple(configs), truncated, rejections)
 

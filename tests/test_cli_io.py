@@ -1,8 +1,14 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import structctrl
 
 from structctrl import (
     PatternFormatError,
@@ -364,6 +370,40 @@ def test_cli_bad_size_line_exits_2_with_line(tmp_path, capsys, name, text):
     path.write_text(text)
     assert run_cli(["analyze", str(path)]) == 2
     assert "line " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["1_0", "+1", "\u0661"])
+@pytest.mark.parametrize("fmt", ["el", "mtx"])
+def test_cli_bad_entry_index_exits_2_with_line(tmp_path, capsys, index, fmt):
+    # int() would read these as 10, 1 and 1.
+    path = tmp_path / f"bad.{fmt}"
+    if fmt == "el":
+        path.write_text(f"n 12\n{index} 2\n", encoding="utf-8")
+    else:
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate pattern general\n12 12 1\n{index} 2\n",
+            encoding="utf-8",
+        )
+    assert run_cli(["analyze", str(path)]) == 2
+    assert "line " in capsys.readouterr().err
+
+
+def _run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(structctrl.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli(sync6_file, tmp_path):
+    done = _run_module("structctrl", "analyze", str(sync6_file))
+    assert done.returncode == 0
+    assert "m=2 beta=2 alpha=1 p=3" in done.stdout
+    bad = tmp_path / "bad.el"
+    bad.write_text("n 2\n5 5\n")
+    done = _run_module("structctrl.cli", "analyze", str(bad))
+    assert done.returncode == 2
+    assert "line 2" in done.stderr
 
 
 def test_cli_bench_small(capsys):

@@ -87,17 +87,16 @@ def test_solve_matching_rejects_half_a_seed(seed):
 
 
 def test_solve_matching_banned_right_properties():
-    # Banning a right vertex's in-edges (as placement._repin does) leaves a
-    # maximum-size matching exactly when some maximum matching misses it.
+    # Deleting a right vertex's in-edges leaves a maximum-size matching
+    # exactly when some maximum matching misses it.
     rng = random.Random(33)
     for _ in range(60):
         bg = _random_bipartite(rng, rng.randint(1, 6), rng.random())
         best = brute_max_matching_size(bg)
         avoidable = {v for s in all_unmatched_sets(bg) for v in s}
         for v in range(bg.right_size):
-            _, mr, size = solve_matching(
-                bg.left_adjacency(), bg.right_size, banned_rights=frozenset({v})
-            )
+            rows = [[r for r in row if r != v] for row in bg.left_adjacency()]
+            _, mr, size = solve_matching(rows, bg.right_size)
             assert mr[v] == -1
             assert size in (best, best - 1)
             assert (size == best) == (v in avoidable)
@@ -110,7 +109,8 @@ def test_avoidable_right_vertices_matches_exhaustive():
         bg = to_state_bipartite(g)
         ml, mr, _ = solve_matching(g.successors(), g.n)
         expected = {v for s in all_unmatched_sets(bg) for v in s}
-        assert _avoidable(g.predecessors(), g.n, ml, mr) == expected
+        unmatched = [r for r in range(g.n) if mr[r] == -1]
+        assert _avoidable(g.predecessors(), ml, unmatched) == expected
 
 
 def test_stem_cycle_worked_example(sync6_graph, sync6_witness):

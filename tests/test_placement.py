@@ -179,9 +179,11 @@ def test_partition_membership_matches_exhaustive_swaps():
                     continue
                 swapped_ok = (pinned | {x}) in unmatched_sets
                 assert swapped_ok == (x in parts.thetas[j])
-                _, _, forced = solve_matching(
-                    bg.left_adjacency(), g.n, banned_rights=pinned | {x}
-                )
+                rows = [
+                    [r for r in row if r not in pinned and r != x]
+                    for row in bg.left_adjacency()
+                ]
+                _, _, forced = solve_matching(rows, g.n)
                 assert (forced == s.witness_matching.size) == swapped_ok
 
 
