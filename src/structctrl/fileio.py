@@ -25,6 +25,11 @@ from .graph_core import StructPattern
 
 FORMATS = ("edgelist", "pattern-json", "mtx-pattern")
 
+# Largest dimension a pattern may declare.  A digraph holds two lists per
+# state (about 129 MB per 10**6 states), so larger inputs are refused
+# before anything is allocated.
+MAX_STATES = 10_000_000
+
 _EXTENSIONS = {
     ".el": "edgelist",
     ".edges": "edgelist",
@@ -88,12 +93,16 @@ def _parse_edgelist(text: str) -> StructPattern:
         if parts[0] == "n":
             if len(parts) != 2 or not _is_digits(parts[1]):
                 raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
-            declared = (int(parts[1]), int(parts[1]))
+            size = _check_size(int(parts[1]), f"line {line_no}")
+            declared = (size, size)
             continue
         if parts[0] == "shape":
             if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
                 raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
-            declared = (int(parts[1]), int(parts[2]))
+            declared = (
+                _check_size(int(parts[1]), f"line {line_no}"),
+                _check_size(int(parts[2]), f"line {line_no}"),
+            )
             continue
         if len(parts) != 2:
             raise PatternFormatError(f"line {line_no}: expected 'i j', got {raw!r}")
@@ -107,7 +116,8 @@ def _parse_edgelist(text: str) -> StructPattern:
         entries.append((line_no, i, j))
 
     if declared is None:
-        size = max((max(i, j) for _, i, j in entries), default=0)
+        line_no, i, j = max(entries, key=lambda e: max(e[1], e[2]), default=(0, 0, 0))
+        size = _check_size(max(i, j), f"line {line_no}")
         declared = (size, size)
     n_rows, n_cols = declared
     for line_no, i, j in entries:
@@ -132,6 +142,7 @@ def _parse_json(text: str) -> StructPattern:
             raise PatternFormatError(f"pattern JSON missing key {key!r}")
         if not _is_json_int(data[key]) or data[key] < 0:
             raise PatternFormatError(f"{key}: expected a non-negative integer, got {data[key]!r}")
+        _check_size(data[key], key)
     n_rows, n_cols = data[keys[0]], data[keys[1]]
     raw = data.get("nonzeros", [])
     if not isinstance(raw, list):
@@ -181,7 +192,11 @@ def _parse_mtx(text: str) -> StructPattern:
         if dims is None:
             if len(parts) != 3 or not all(_is_digits(p) for p in parts):
                 raise PatternFormatError(f"line {line_no}: malformed size line {raw!r}")
-            dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+            dims = (
+                _check_size(int(parts[0]), f"line {line_no}"),
+                _check_size(int(parts[1]), f"line {line_no}"),
+                int(parts[2]),
+            )
             size_line = line_no
             continue
         if len(parts) < 2 or not _is_digits(parts[0]) or not _is_digits(parts[1]):
@@ -202,6 +217,14 @@ def _parse_mtx(text: str) -> StructPattern:
         entries = entries + [(ln, j, i) for ln, i, j in entries if i != j]
     nonzeros = _dedup(entries, "matrix")
     return StructPattern(dims[0], dims[1], frozenset((i - 1, j - 1) for i, j in nonzeros))
+
+
+def _check_size(value: int, where: str) -> int:
+    if value > MAX_STATES:
+        raise PatternFormatError(
+            f"{where}: dimension {value} exceeds the limit of {MAX_STATES} states"
+        )
+    return value
 
 
 def _is_digits(token: str) -> bool:

@@ -13,7 +13,7 @@ happens at the I/O boundary only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -58,32 +58,33 @@ class SystemDigraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    _succ: list[list[int]] = field(init=False, repr=False, compare=False)
+    _pred: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        succ: list[list[int]] = [[] for _ in range(self.n)]
+        pred: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
+            succ[u].append(v)
+            pred[v].append(u)
+        for u in range(self.n):
+            succ[u].sort()
+            pred[u].sort()
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     def successors(self) -> list[list[int]]:
-        """Adjacency lists (ascending), rebuilt on each call."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        for lst in adj:
-            lst.sort()
-        return adj
+        """Successor lists (ascending), built once and shared: callers must not mutate them."""
+        return self._succ
 
     def predecessors(self) -> list[list[int]]:
-        """In-neighbour lists (ascending), rebuilt on each call."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        """In-neighbour lists (ascending), built once and shared: callers must not mutate them."""
+        return self._pred
 
 
 @dataclass(frozen=True)

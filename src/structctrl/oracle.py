@@ -10,11 +10,12 @@ placement path.
 
 The matcher here is deliberately separate from ``matching.py`` so that the
 oracle shares no matching code with the placement pipeline it is meant to
-check.  It is a phase-based augmenting-path matcher with lookahead in the
-style of Pothen and Fan (see Duff, Kaya and Ucar, ACM TOMS 38(2), 2011): a
-greedy start, then phases of one depth-first search per free left vertex
-with one visited stamp per right vertex for the whole call, until a phase
-augments nothing.
+check; for the same reason the oracle reads its adjacency straight off the
+pattern.  The matcher is a phase-based augmenting-path matcher with
+lookahead in the style of Pothen and Fan (see Duff, Kaya and Ucar, ACM
+TOMS 38(2), 2011): a greedy start, then phases of one depth-first search
+per free left vertex with one visited stamp per right vertex for the whole
+call, until a phase augments nothing.
 """
 
 from __future__ import annotations
@@ -147,11 +148,16 @@ def is_structurally_controllable(
     _check_dims(a, b)
     n = a.n_rows
 
-    g = build_digraph(a)
-    adj = g.successors()
-    input_states = sorted({i for i, _ in b.nonzeros})
-    seen = set(input_states)
-    stack = list(input_states)
+    # Left vertex j < n is state j (entry (i, j) is edge j -> i); n + k is input k.
+    adj: list[list[int]] = [[] for _ in range(n + b.n_cols)]
+    for i, j in a.nonzeros:
+        adj[j].append(i)
+    for i, k in b.nonzeros:
+        adj[n + k].append(i)
+    for row in adj:
+        row.sort()
+    seen: set[int] = set()
+    stack = list(range(n, n + b.n_cols))
     while stack:
         u = stack.pop()
         for v in adj[u]:
@@ -160,12 +166,6 @@ def is_structurally_controllable(
                 stack.append(v)
     accessibility_ok = len(seen) == n
 
-    # Left side: the n states followed by one vertex per input column.
-    per_input: dict[int, list[int]] = {}
-    for i, j in b.nonzeros:
-        per_input.setdefault(j, []).append(i)
-    for j in range(b.n_cols):
-        adj.append(sorted(per_input.get(j, [])))
     match_r = _augmenting_matcher(adj, n)
     dilation_free = all(owner != -1 for owner in match_r)
 

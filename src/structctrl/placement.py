@@ -114,7 +114,6 @@ class PlacementDesign:
     """Bundle returned by the end-to-end design helpers."""
 
     summary: PlacementSummary
-    partitions: PartitionSet
     enumeration: EnumerationResult
 
 
@@ -434,7 +433,7 @@ def _child_witness(
 def enumerate_configurations(
     g: SystemDigraph,
     summary: PlacementSummary,
-    partitions: PartitionSet,
+    partitions: PartitionSet | None,
     limit: int = 10_000,
 ) -> EnumerationResult:
     """All minimum placements as sets, up to ``limit``.
@@ -450,8 +449,8 @@ def enumerate_configurations(
     polynomial delay: at most m + 1 witness calls per root set, plus one
     oracle call per placement.  Repeated placements are dropped.
 
-    ``partitions`` is not used.  The oracle is a safety net; the rejection
-    counter should stay at zero.
+    ``partitions`` is not used and may be None.  The oracle is a safety
+    net; the rejection counter should stay at zero.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -541,9 +540,8 @@ def design_inputs(
     """Full input-design pipeline on a square state pattern."""
     g = build_digraph(pattern)
     summary = min_dedicated_inputs(g, matching=matching)
-    partitions = natural_partitions(g, summary)
-    enumeration = enumerate_configurations(g, summary, partitions, limit=limit)
-    return PlacementDesign(summary, partitions, enumeration)
+    enumeration = enumerate_configurations(g, summary, None, limit=limit)
+    return PlacementDesign(summary, enumeration)
 
 
 def design_outputs(pattern: StructPattern, limit: int = 10_000) -> PlacementDesign:

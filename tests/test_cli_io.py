@@ -372,6 +372,36 @@ def test_cli_bad_size_line_exits_2_with_line(tmp_path, capsys, name, text):
     assert "line " in capsys.readouterr().err
 
 
+# File name -> (contents, where the error must point).
+OVERSIZED = {
+    "n.el": ("n 10000001\n", "line 1:"),
+    "shape.el": ("# wide\nshape 3 10000001\n", "line 2:"),
+    "hull.el": ("1 1\n10000001 2\n", "line 2:"),
+    "n.json": ('{"n": 10000001, "nonzeros": []}', "n:"),
+    "cols.json": ('{"n_rows": 3, "n_cols": 10000001, "nonzeros": []}', "n_cols:"),
+    "size.mtx": ("%%MatrixMarket matrix coordinate pattern general\n10000001 3 0\n", "line 2:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_parse_refuses_dimensions_above_the_limit(tmp_path, name):
+    text, where = OVERSIZED[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(PatternFormatError, match=re.escape(where) + ".* 10000000 states"):
+        parse_pattern(path)
+    path.write_text(text.replace("10000001", "10000000"))
+    at_limit = parse_pattern(path)
+    assert 10_000_000 in (at_limit.n_rows, at_limit.n_cols)
+
+
+def test_cli_oversized_pattern_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.el"
+    path.write_text("n 100000000\n")
+    assert run_cli(["analyze", str(path)]) == 2
+    assert "line 1: dimension 100000000 exceeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", ["1_0", "+1", "\u0661"])
 @pytest.mark.parametrize("fmt", ["el", "mtx"])
 def test_cli_bad_entry_index_exits_2_with_line(tmp_path, capsys, index, fmt):

@@ -4,6 +4,13 @@ import pytest
 
 from structctrl import StructPattern, build_digraph
 from structctrl.graph_core import SystemDigraph, pattern_of, strongly_connected_components
+from structctrl.oracle import is_structurally_controllable
+from structctrl.placement import (
+    emit_input_matrix,
+    enumerate_configurations,
+    generate_configuration,
+    min_dedicated_inputs,
+)
 from brute import random_pattern
 
 
@@ -113,3 +120,34 @@ def test_strongly_connected_graph_single_scc():
         cond = strongly_connected_components(SystemDigraph(n, edges))
         assert cond.n_sccs == 1
         assert cond.beta == 1
+
+
+def _sorted_lists(n, pairs):
+    lists = [[] for _ in range(n)]
+    for u, v in pairs:
+        lists[u].append(v)
+    return [sorted(lst) for lst in lists]
+
+
+def test_adjacency_is_built_once_and_never_mutated():
+    rng = random.Random(17)
+    for _ in range(60):
+        g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5))
+        assert g.successors() is g.successors()
+        assert g.predecessors() is g.predecessors()
+        succ = _sorted_lists(g.n, g.edges)
+        pred = _sorted_lists(g.n, ((v, u) for u, v in g.edges))
+        assert g.successors() == succ and g.predecessors() == pred
+        summary = min_dedicated_inputs(g)
+        config = generate_configuration(g, summary)
+        enumerate_configurations(g, summary, None, limit=50)
+        is_structurally_controllable(pattern_of(g), emit_input_matrix(config, g.n))
+        assert g.successors() == succ and g.predecessors() == pred
+
+
+def test_digraph_rejects_out_of_range_edges():
+    for edge in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="outside vertex range"):
+            SystemDigraph(3, {edge})
+    with pytest.raises(ValueError, match="non-negative"):
+        SystemDigraph(-1, set())
