@@ -290,6 +290,8 @@ def gen_random(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_STATES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_STATES} states")
     rng = random.Random(seed)
     if model == "erdos":
         p = 0.3 if p_edge is None else p_edge

@@ -3,9 +3,9 @@
 A structured LTI system is known only through the zero/non-zero pattern of
 its state matrix.  A non-zero entry at (i, j) means state j influences
 state i, encoded as the directed edge j -> i (influencer to influenced).
-Everything downstream -- strongly connected components, the condensation
-DAG, the source components that no other state feeds into -- is computed
-on that influence digraph.
+Everything downstream -- strongly connected components and the source
+components that no other state feeds into -- is computed on that
+influence digraph.
 
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
@@ -89,17 +89,17 @@ class SystemDigraph:
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC partition of a digraph plus the quotient DAG.
+    """SCC partition of a digraph and its source components.
 
     Component ids are renumbered so that component k has the k-th smallest
     minimum member; this keeps ids stable across runs.  ``non_top_linked``
-    holds the ids of components with no incoming DAG edge -- the source
-    components that nothing else in the system can influence.
+    holds the ids of components with no incoming edge from another
+    component -- the source components that nothing else in the system can
+    influence.
     """
 
     scc_of: tuple[int, ...]
     scc_members: tuple[tuple[int, ...], ...]
-    dag_edges: frozenset[tuple[int, int]]
     non_top_linked: frozenset[int]
 
     @property
@@ -132,10 +132,10 @@ def pattern_of(g: SystemDigraph) -> StructPattern:
 
 
 def strongly_connected_components(g: SystemDigraph) -> Condensation:
-    """Tarjan's algorithm (iterative) plus the condensation DAG.
+    """Tarjan's algorithm (iterative) plus the source components.
 
     Vertices with no edges at all form singleton components.  A component
-    is non-top-linked exactly when its DAG in-degree is zero.
+    is non-top-linked exactly when no edge enters it from another component.
     """
     n = g.n
     adj = g.successors()
@@ -192,19 +192,15 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
         for v in members:
             scc_of[v] = cid
 
-    dag_edges = set()
     has_incoming = [False] * len(ordered)
     for u, v in g.edges:
-        cu, cv = scc_of[u], scc_of[v]
-        if cu != cv:
-            dag_edges.add((cu, cv))
-            has_incoming[cv] = True
+        if scc_of[u] != scc_of[v]:
+            has_incoming[scc_of[v]] = True
     non_top = frozenset(c for c in range(len(ordered)) if not has_incoming[c])
 
     return Condensation(
         scc_of=tuple(scc_of),
         scc_members=tuple(ordered),
-        dag_edges=frozenset(dag_edges),
         non_top_linked=non_top,
     )
 

@@ -169,7 +169,7 @@ def is_structurally_controllable(
     match_r = _augmenting_matcher(adj, n)
     dilation_free = all(owner != -1 for owner in match_r)
 
-    rank = numeric_rank_check(a, b, trials, seed) if trials > 0 else None
+    rank = numeric_cross_check(a, b, trials, seed)[1] if trials > 0 else None
     return OracleVerdict(
         controllable=accessibility_ok and dilation_free,
         accessibility_ok=accessibility_ok,
@@ -195,32 +195,22 @@ def _controllability_matrix(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def numeric_rank_check(
-    a: StructPattern, b: StructPattern, trials: int, seed: int = 0
-) -> int:
-    """Best Kalman-matrix rank over random realizations of the patterns.
-
-    Non-zero entries are drawn uniformly from [0.5, 1.5] (bounded away from
-    zero to avoid accidental cancellations).  Rank uses the standard
-    numerical convention: singular values above
-    max(matrix dims) * machine epsilon * largest singular value count.
-    The draws and the rank are those of :func:`numeric_cross_check`.
-    """
-    return numeric_cross_check(a, b, trials, seed)[1]
-
-
 def numeric_cross_check(
     a: StructPattern, b: StructPattern, trials: int = 5, seed: int = 0
 ) -> tuple[str, int]:
     """Classify the randomized rank evidence for (A, B).
 
     Returns (verdict, best rank) with verdict one of "controllable",
-    "uncontrollable", "indeterminate".  A trial is decisive for full rank
-    when its smallest kept singular value clears the rank tolerance by a
-    factor of 10; a rank-deficient trial is decisive when the kept and
-    dropped singular values are separated by at least six orders of
-    magnitude.  Anything borderline is reported as indeterminate rather
-    than guessed.
+    "uncontrollable", "indeterminate".  The rank is the best Kalman-matrix
+    rank over ``trials`` realizations with non-zero entries drawn uniformly
+    from [0.5, 1.5] (bounded away from zero to avoid accidental
+    cancellations), counting singular values above
+    max(matrix dims) * machine epsilon * largest singular value.  A trial
+    is decisive for full rank when its smallest kept singular value clears
+    the rank tolerance by a factor of 10; a rank-deficient trial is
+    decisive when the kept and dropped singular values are separated by at
+    least six orders of magnitude.  Anything borderline is reported as
+    indeterminate rather than guessed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

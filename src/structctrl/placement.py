@@ -26,14 +26,18 @@ Enumeration lists those root sets by Lawler's partition scheme, repairing
 each search node's absorbed matching from its parent's with one exchange
 search and at most one re-absorption.  So it has polynomial delay: at most
 m + 1 witness calls per root set, plus one oracle call per placement.
+
+``min_dedicated_inputs`` absorbs the source SCCs once and keeps the absorbed
+matching; the default placement is the first completion the enumeration
+lists for its roots.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from . import oracle
 from .graph_core import (
@@ -54,6 +58,8 @@ class PlacementSummary:
     ``assignable_vertices`` are the right-unmatched vertices an optimal
     matching parks inside source SCCs; ``assignment_edges`` pairs each of
     them (by ascending-index slot) with the source-SCC ids it can serve.
+    ``absorbed`` is the witness with its source SCCs absorbed: the real and
+    auxiliary ``match_l`` (auxiliary k is left vertex n + k) and ``match_r``.
     """
 
     m: int
@@ -64,6 +70,7 @@ class PlacementSummary:
     assignable_vertices: frozenset[int]
     assignment_edges: frozenset[tuple[int, int]]
     condensation: Condensation
+    absorbed: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,7 @@ def min_dedicated_inputs(
         assignable_vertices=frozenset(assignable),
         assignment_edges=frozenset(edges),
         condensation=cond,
+        absorbed=(tuple(ml), tuple(mr)),
     )
 
 
@@ -314,40 +322,34 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
     return PartitionSet(tuple(thetas), split=summary.m)
 
 
-def _absorbed_witness(
-    adj: Sequence[Sequence[int]], summary: PlacementSummary
-) -> tuple[list[int], list[int]]:
-    """The summary's witness with its source SCCs absorbed (real and
-    auxiliary match arrays, auxiliary k being left vertex n + k)."""
-    n = len(adj)
+def _completions(
+    summary: PlacementSummary, roots: Sequence[int]
+) -> Iterator[frozenset[int]]:
+    """The placements of a root set: ``roots`` plus one member of every
+    source SCC they miss, lowest-index members first."""
     cond = summary.condensation
-    members = [cond.scc_members[j] for j in sorted(cond.non_top_linked)]
-    ml, mr = _matching_to_arrays(summary.witness_matching, n)
-    ml += [-1] * len(members)
-    _absorb_source_sccs(adj, n, members, ml, mr)
-    return ml, mr
+    hit = {cond.scc_of[r] for r in roots}
+    pools = [cond.scc_members[j] for j in sorted(cond.non_top_linked) if j not in hit]
+    size = len(roots) + len(pools)
+    if size != summary.p:
+        raise RuntimeError(f"placement has {size} states, expected p={summary.p}")
+    base = frozenset(roots)
+    for extra in itertools.product(*pools):
+        yield base.union(extra)
 
 
 def generate_configuration(
     g: SystemDigraph, summary: PlacementSummary
 ) -> InputConfiguration:
-    """One minimum placement, read off the absorbed matching.
+    """One minimum placement: the first completion the enumeration lists.
 
-    Absorbing the source SCCs into the witness matching leaves a maximum
-    matching whose m unmatched states lie in alpha distinct source SCCs.
-    Those states, plus the lowest-index member of every source SCC they
-    miss, are a placement of size m + beta - alpha = p.
+    The summary's absorbed matching is maximum and leaves its m unmatched
+    states in alpha distinct source SCCs.  Those states, plus the
+    lowest-index member of every source SCC they miss, are a placement of
+    size m + beta - alpha = p.
     """
-    cond = summary.condensation
-    _, mr = _absorbed_witness(g.successors(), summary)
-    states = set(_roots(mr, g.n))
-    covered = {cond.scc_of[v] for v in states}
-    states.update(
-        cond.scc_members[j][0] for j in sorted(cond.non_top_linked) if j not in covered
-    )
-    if len(states) != summary.p:
-        raise RuntimeError(f"placement has {len(states)} states, expected p={summary.p}")
-    return InputConfiguration(frozenset(states))
+    roots = _roots(summary.absorbed[1], g.n)
+    return InputConfiguration(next(_completions(summary, roots)))
 
 
 # Role of a state in a search node of the enumeration: forced into the
@@ -397,7 +399,7 @@ def _child_witness(
     in_lefts: Sequence[Sequence[int]],
     members: Sequence[Sequence[int]],
     role: Sequence[int],
-    parent: tuple[list[int], list[int], list[int]],
+    parent: tuple[Sequence[int], Sequence[int], list[int]],
     s: int,
     alpha: int,
 ) -> tuple[list[int], list[int], list[int]] | None:
@@ -459,8 +461,7 @@ def enumerate_configurations(
     adj = g.successors()
     in_lefts = g.predecessors()
     a_pattern = pattern_of(g)
-    source_ids = sorted(cond.non_top_linked)
-    members = [cond.scc_members[j] for j in source_ids]
+    members = [cond.scc_members[j] for j in sorted(cond.non_top_linked)]
 
     configs: list[InputConfiguration] = []
     seen: set[frozenset[int]] = set()
@@ -469,14 +470,7 @@ def enumerate_configurations(
     def emit(roots: list[int]) -> bool:
         """Add R's completions; False once a placement past ``limit`` appears."""
         nonlocal rejections
-        hit = {cond.scc_of[r] for r in roots}
-        pools = [mem for j, mem in zip(source_ids, members) if j not in hit]
-        if len(pools) != summary.p - summary.m:
-            raise RuntimeError(f"root set hits {len(members) - len(pools)} source "
-                               f"SCCs, expected alpha={alpha}")
-        base = frozenset(roots)
-        for extra in itertools.product(*pools):
-            states = base.union(extra)
+        for states in _completions(summary, roots):
             if states in seen:
                 continue
             seen.add(states)
@@ -489,7 +483,7 @@ def enumerate_configurations(
             configs.append(InputConfiguration(states))
         return True
 
-    ml, mr = _absorbed_witness(adj, summary)
+    ml, mr = summary.absorbed
     roots = _roots(mr, n)
     truncated = not emit(roots)
     role = [0] * n

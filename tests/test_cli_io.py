@@ -402,6 +402,15 @@ def test_cli_oversized_pattern_exits_2(tmp_path, capsys):
     assert "line 1: dimension 100000000 exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen", "erdos", "100000000"], ["bench", "--sizes", "100000000"]]
+)
+def test_cli_gen_refuses_sizes_above_the_limit(capsys, argv):
+    # Refused before anything is drawn: erdos would fill about 3e15 cells.
+    assert run_cli(argv) == 2
+    assert "n=100000000 exceeds the limit of 10000000 states" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", ["1_0", "+1", "\u0661"])
 @pytest.mark.parametrize("fmt", ["el", "mtx"])
 def test_cli_bad_entry_index_exits_2_with_line(tmp_path, capsys, index, fmt):

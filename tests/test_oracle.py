@@ -16,7 +16,7 @@ from structctrl import (
     numeric_cross_check,
 )
 from structctrl.matching import solve_matching
-from structctrl.oracle import _augmenting_matcher, numeric_rank_check
+from structctrl.oracle import _augmenting_matcher
 from brute import brute_max_matching_size, random_pattern
 
 
@@ -59,18 +59,18 @@ def test_verdict_attaches_numeric_rank(sync6_pattern):
 
 
 def test_numeric_rank_worked_example(sync6_pattern):
-    assert numeric_rank_check(sync6_pattern, _dedicated({0, 1, 4}, 6), trials=5, seed=2) == 6
-    assert numeric_rank_check(sync6_pattern, _dedicated({0, 1, 2}, 6), trials=5, seed=2) <= 5
+    assert numeric_cross_check(sync6_pattern, _dedicated({0, 1, 4}, 6), trials=5, seed=2)[1] == 6
+    assert numeric_cross_check(sync6_pattern, _dedicated({0, 1, 2}, 6), trials=5, seed=2)[1] <= 5
 
 
 def test_numeric_rank_single_state():
     a = StructPattern(1, 1, {(0, 0)})
-    assert numeric_rank_check(a, _dedicated({0}, 1), trials=1, seed=0) == 1
+    assert numeric_cross_check(a, _dedicated({0}, 1), trials=1, seed=0)[1] == 1
 
 
 def test_numeric_rank_validates_trials(sync6_pattern):
     with pytest.raises(ValueError):
-        numeric_rank_check(sync6_pattern, _dedicated({0}, 6), trials=0)
+        numeric_cross_check(sync6_pattern, _dedicated({0}, 6), trials=0)[1]
 
 
 def test_numeric_agrees_with_graph_verdict():

@@ -208,6 +208,31 @@ def test_generate_single_self_loop():
     assert config.states == frozenset({0})
 
 
+def test_generate_is_the_first_enumerated_placement():
+    rng = random.Random(909)
+    for _ in range(150):
+        g = build_digraph(random_pattern(rng, rng.randint(1, 7), rng.random()))
+        s = min_dedicated_inputs(g)
+        config = generate_configuration(g, s)
+        first = enumerate_configurations(g, s, None, limit=1).configurations[0]
+        assert config.states == first.states
+        full = enumerate_configurations(g, s, None)
+        assert not full.truncated
+        assert config.states in full.state_sets()
+
+
+def test_generate_runs_no_matching(sync6_graph, sync6_witness, monkeypatch):
+    # The summary keeps the absorbed matching, so the default placement is
+    # read off it without another matching run.
+    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("solve_matching called")
+
+    monkeypatch.setattr("structctrl.placement.solve_matching", broken)
+    assert generate_configuration(sync6_graph, s).states == frozenset({0, 1, 5})
+
+
 def test_enumerate_worked_example(sync6_graph):
     s = min_dedicated_inputs(sync6_graph)
     enum = enumerate_configurations(sync6_graph, s, natural_partitions(sync6_graph, s), limit=100)
