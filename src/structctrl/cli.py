@@ -16,7 +16,9 @@ import sys
 import time
 
 from . import __version__
-from .fileio import FORMATS, PatternFormatError, gen_random, parse_pattern, write_pattern
+from .fileio import (
+    FORMATS, MAX_STATES, PatternFormatError, gen_random, parse_pattern, write_pattern,
+)
 from .graph_core import StructPattern, build_digraph
 from .oracle import is_structurally_controllable
 from .placement import (
@@ -250,6 +252,8 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 2 for s in sizes):
         raise ValueError(f"--sizes needs integers >= 2, got {args.sizes!r}")
+    if max(sizes) > MAX_STATES:
+        raise ValueError(f"--sizes: n={max(sizes)} exceeds the limit of {MAX_STATES} states")
     rows = []
     for k, n in enumerate(sizes):
         pattern, _ = gen_random(n, "erdos", seed=args.seed + k, p_edge=args.degree / n)

@@ -70,16 +70,13 @@ def parse_pattern(path: str | Path, fmt: str | None = None) -> StructPattern:
     return _parse_mtx(text)
 
 
-def _dedup(entries: list[tuple[int, int, int]], what: str) -> set[tuple[int, int]]:
-    seen: set[tuple[int, int]] = set()
-    dupes = 0
-    for _, i, j in entries:
-        if (i, j) in seen:
-            dupes += 1
-        seen.add((i, j))
+def _dedup(entries: list[tuple[int, int, int]], what: str) -> frozenset[tuple[int, int]]:
+    """The zero-based entry set of one-based ``(line, i, j)`` entries."""
+    nonzeros = frozenset((i - 1, j - 1) for _, i, j in entries)
+    dupes = len(entries) - len(nonzeros)
     if dupes:
         warnings.warn(f"{dupes} duplicate {what} entr{'y' if dupes == 1 else 'ies'} ignored")
-    return seen
+    return nonzeros
 
 
 def _parse_edgelist(text: str) -> StructPattern:
@@ -125,8 +122,7 @@ def _parse_edgelist(text: str) -> StructPattern:
             raise PatternFormatError(
                 f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
             )
-    nonzeros = _dedup(entries, "edgelist")
-    return StructPattern(n_rows, n_cols, frozenset((i - 1, j - 1) for i, j in nonzeros))
+    return StructPattern(n_rows, n_cols, _dedup(entries, "edgelist"))
 
 
 def _parse_json(text: str) -> StructPattern:
@@ -159,8 +155,7 @@ def _parse_json(text: str) -> StructPattern:
                 f"nonzeros[{k - 1}]: entry ({i}, {j}) outside {n_rows}x{n_cols} pattern"
             )
         entries.append((k, i, j))
-    nonzeros = _dedup(entries, "JSON")
-    return StructPattern(n_rows, n_cols, frozenset((i - 1, j - 1) for i, j in nonzeros))
+    return StructPattern(n_rows, n_cols, _dedup(entries, "JSON"))
 
 
 def _is_json_int(value: object) -> bool:
@@ -215,8 +210,7 @@ def _parse_mtx(text: str) -> StructPattern:
         )
     if symmetry == "symmetric":
         entries = entries + [(ln, j, i) for ln, i, j in entries if i != j]
-    nonzeros = _dedup(entries, "matrix")
-    return StructPattern(dims[0], dims[1], frozenset((i - 1, j - 1) for i, j in nonzeros))
+    return StructPattern(dims[0], dims[1], _dedup(entries, "matrix"))
 
 
 def _check_size(value: int, where: str) -> int:

@@ -5,7 +5,7 @@ its state matrix.  A non-zero entry at (i, j) means state j influences
 state i, encoded as the directed edge j -> i (influencer to influenced).
 Everything downstream -- strongly connected components and the source
 components that no other state feeds into -- is computed on that
-influence digraph.
+influence digraph, which keeps its edges only as adjacency lists.
 
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
@@ -13,7 +13,8 @@ happens at the I/O boundary only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -52,29 +53,32 @@ class StructPattern:
 class SystemDigraph:
     """Influence digraph over the state vertices 0..n-1.
 
-    Self-loops are allowed (a state feeding back on itself); parallel
-    duplicate edges cannot exist because edges form a set.
+    ``edges``, any iterable of (u, v) pairs, is read once into sorted
+    successor and predecessor lists; no other copy of it is kept.
+    Self-loops are allowed; a repeated pair is one edge.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    _succ: list[list[int]] = field(init=False, repr=False, compare=False)
+    edges: InitVar[Iterable[tuple[int, int]]]
+    _succ: list[list[int]] = field(init=False, repr=False, hash=False)
     _pred: list[list[int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
+    def __post_init__(self, edges: Iterable[tuple[int, int]]) -> None:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        pred: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             succ[u].append(v)
-            pred[v].append(u)
-        for u in range(self.n):
-            succ[u].sort()
-            pred[u].sort()
+        # Deduplicated successors, walked in order, give sorted predecessors.
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for u, targets in enumerate(succ):
+            if len(targets) > 1:
+                targets = succ[u] = sorted(set(targets))
+            for v in targets:
+                pred[v].append(u)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
 
@@ -121,14 +125,13 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
         raise ValueError(
             f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
         )
-    return SystemDigraph(
-        pattern.n_rows, frozenset((j, i) for i, j in pattern.nonzeros)
-    )
+    return SystemDigraph(pattern.n_rows, ((j, i) for i, j in pattern.nonzeros))
 
 
 def pattern_of(g: SystemDigraph) -> StructPattern:
-    """Inverse of build_digraph: edge u -> v becomes entry (v, u)."""
-    return StructPattern(g.n, g.n, frozenset((v, u) for u, v in g.edges))
+    """Inverse of build_digraph: row v holds the predecessors of v."""
+    rows = g.predecessors()
+    return StructPattern(g.n, g.n, frozenset((v, u) for v in range(g.n) for u in rows[v]))
 
 
 def strongly_connected_components(g: SystemDigraph) -> Condensation:
@@ -193,9 +196,10 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
             scc_of[v] = cid
 
     has_incoming = [False] * len(ordered)
-    for u, v in g.edges:
-        if scc_of[u] != scc_of[v]:
-            has_incoming[scc_of[v]] = True
+    for u, targets in enumerate(adj):
+        for v in targets:
+            if scc_of[v] != scc_of[u]:
+                has_incoming[scc_of[v]] = True
     non_top = frozenset(c for c in range(len(ordered)) if not has_incoming[c])
 
     return Condensation(

@@ -90,7 +90,7 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], right_size: int) -> Ma
 
 def to_state_bipartite(g: SystemDigraph) -> BipartiteGraph:
     """Left and right copies of the state set; digraph edge u -> v becomes (u, v)."""
-    return BipartiteGraph(g.n, g.n, g.edges)
+    return BipartiteGraph(g.n, g.n, ((u, v) for u, vs in enumerate(g.successors()) for v in vs))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +210,10 @@ def stem_cycle_decomposition(g: SystemDigraph, m: Matching) -> StemCycleDecompos
     The pieces are vertex-disjoint and jointly cover every vertex, and the
     number of stems always equals the number of uncovered right vertices.
     """
+    adj = g.successors()
     successor: dict[int, int] = {}
     for u, v in m.pairs:
-        if (u, v) not in g.edges:
+        if not (0 <= u < g.n and v in adj[u]):
             raise ValueError(f"matching edge ({u}, {v}) is not a digraph edge")
         successor[u] = v
 

@@ -195,12 +195,13 @@ def _matching_to_arrays(m: Matching, n: int) -> tuple[list[int], list[int]]:
 
 
 def _validate_witness(g: SystemDigraph, m: Matching) -> tuple[list[int], list[int], int]:
+    adj = g.successors()
     for l, r in m.pairs:
-        if (l, r) not in g.edges:
+        if not (0 <= l < g.n and r in adj[l]):
             raise ValueError(f"witness matching edge ({l}, {r}) is not a digraph edge")
     ml, mr = _matching_to_arrays(m, g.n)
     before = m.size
-    _, _, after = solve_matching(g.successors(), g.n, list(ml), list(mr))
+    _, _, after = solve_matching(adj, g.n, list(ml), list(mr))
     if after != before:
         raise ValueError("witness matching is not maximum")
     return ml, mr, before
@@ -526,14 +527,10 @@ def emit_output_matrix(config: InputConfiguration, n: int) -> StructPattern:
     return emit_input_matrix(config, n).transpose()
 
 
-def design_inputs(
-    pattern: StructPattern,
-    limit: int = 10_000,
-    matching: Matching | None = None,
-) -> PlacementDesign:
+def design_inputs(pattern: StructPattern, limit: int = 10_000) -> PlacementDesign:
     """Full input-design pipeline on a square state pattern."""
     g = build_digraph(pattern)
-    summary = min_dedicated_inputs(g, matching=matching)
+    summary = min_dedicated_inputs(g)
     enumeration = enumerate_configurations(g, summary, None, limit=limit)
     return PlacementDesign(summary, enumeration)
 

@@ -450,3 +450,12 @@ def test_cli_bench_small(capsys):
     report = json.loads(capsys.readouterr().out)
     assert [r["n"] for r in report["runs"]] == [30, 60]
     assert report["fitted_exponent"] is not None
+
+
+def test_cli_bench_refuses_sizes_above_the_limit_before_running(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("bench ran an analysis before checking --sizes")
+
+    monkeypatch.setattr(cli, "min_dedicated_inputs", never)
+    assert run_cli(["bench", "--sizes", "20000,100000000"]) == 2
+    assert "n=100000000 exceeds the limit of 10000000 states" in capsys.readouterr().err

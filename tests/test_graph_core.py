@@ -15,21 +15,32 @@ from brute import random_pattern
 
 
 def test_build_digraph_worked_example(sync6_graph):
+    # edges 0->0, 1->1, 0->2, 1->2, 3->2, 2->3, 4->3, 5->3, 3->4, 3->5
     assert sync6_graph.n == 6
-    assert sync6_graph.edges == frozenset(
-        {(0, 0), (1, 1), (0, 2), (1, 2), (3, 2), (2, 3), (4, 3), (5, 3), (3, 4), (3, 5)}
-    )
+    assert sync6_graph.successors() == [[0, 2], [1, 2], [3], [2, 4, 5], [3], [3]]
+    assert sync6_graph.predecessors() == [[0], [1], [0, 1, 3], [2, 4, 5], [3], [3]]
 
 
 def test_build_digraph_empty_single_vertex():
     g = build_digraph(StructPattern(1, 1, frozenset()))
-    assert g.n == 1 and g.edges == frozenset()
+    assert g.n == 1 and g.successors() == [[]] and g.predecessors() == [[]]
 
 
 def test_build_digraph_shift_pattern_is_path():
     # entries (2,1) and (3,2) one-based: x1 -> x2 -> x3
     g = build_digraph(StructPattern(3, 3, {(1, 0), (2, 1)}))
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.successors() == [[1], [2], []]
+    assert g.predecessors() == [[], [0], [1]]
+
+
+def test_digraph_keeps_only_its_adjacency():
+    g = SystemDigraph(3, iter([(1, 2), (0, 1), (1, 2), (0, 0)]))
+    assert not hasattr(g, "edges")
+    assert g.successors() == [[0, 1], [2], []]
+    assert g.predecessors() == [[0], [0], [1]]
+    assert g == SystemDigraph(3, {(0, 0), (0, 1), (1, 2)})
+    assert g != SystemDigraph(3, {(0, 0), (0, 1)})
+    assert hash(g) == hash(SystemDigraph(3, {(0, 0), (0, 1), (1, 2)}))
 
 
 def test_build_digraph_rejects_non_square():
@@ -143,11 +154,13 @@ def _sorted_lists(n, pairs):
 def test_adjacency_is_built_once_and_never_mutated():
     rng = random.Random(17)
     for _ in range(60):
-        g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5))
+        pattern = random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5)
+        g = build_digraph(pattern)
         assert g.successors() is g.successors()
         assert g.predecessors() is g.predecessors()
-        succ = _sorted_lists(g.n, g.edges)
-        pred = _sorted_lists(g.n, ((v, u) for u, v in g.edges))
+        # Entry (i, j) is the edge j -> i.
+        succ = _sorted_lists(g.n, ((j, i) for i, j in pattern.nonzeros))
+        pred = _sorted_lists(g.n, pattern.nonzeros)
         assert g.successors() == succ and g.predecessors() == pred
         summary = min_dedicated_inputs(g)
         config = generate_configuration(g, summary)

@@ -146,11 +146,11 @@ def _assert_decomposition_ok(g, m, d):
     assert sorted(flat) == list(range(g.n))  # disjoint and spanning
     for stem in d.stems:
         for a, b in zip(stem, stem[1:]):
-            assert (a, b) in g.edges
+            assert b in g.successors()[a]
     for cyc in d.cycles:
         ring = list(cyc) + [cyc[0]]
         for a, b in zip(ring, ring[1:]):
-            assert (a, b) in g.edges
+            assert b in g.successors()[a]
     covered = {r for _, r in m.pairs}
     roots = {stem[0] for stem in d.stems}
     assert roots == set(range(g.n)) - covered

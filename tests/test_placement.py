@@ -68,6 +68,22 @@ def test_min_inputs_rejects_non_maximum_seed(sync6_graph):
         min_dedicated_inputs(sync6_graph, matching=matching_from_pairs({(0, 0)}, 6))
 
 
+@pytest.mark.parametrize(
+    "bad_pair",
+    [
+        (4, 2),  # not an edge
+        (-1, 3),  # adj[-1] is state 5's list, which holds 3
+        (6, 3),  # left vertex n
+    ],
+)
+def test_witness_pairs_must_be_digraph_edges(sync6_graph, bad_pair):
+    m = matching_from_pairs({(0, 0), (1, 1), bad_pair}, 6)
+    with pytest.raises(ValueError, match="not a digraph edge"):
+        min_dedicated_inputs(sync6_graph, matching=m)
+    with pytest.raises(ValueError, match="not a digraph edge"):
+        stem_cycle_decomposition(sync6_graph, m)
+
+
 def test_summary_invariants_random():
     rng = random.Random(101)
     for _ in range(150):
