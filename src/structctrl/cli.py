@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import statistics
 import sys
 import time
 
@@ -247,8 +249,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import numpy as np
-
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 2 for s in sizes):
         raise ValueError(f"--sizes needs integers >= 2, got {args.sizes!r}")
@@ -271,10 +271,10 @@ def _cmd_bench(args) -> int:
             "p": summary.p,
         })
     exponent = None
-    if len(rows) >= 2:
-        xs = np.log10([r["n"] for r in rows])
-        ys = np.log10([max(r["seconds"], 1e-9) for r in rows])
-        exponent = round(float(np.polyfit(xs, ys, 1)[0]), 3)
+    if len({r["n"] for r in rows}) >= 2:
+        xs = [math.log10(r["n"]) for r in rows]
+        ys = [math.log10(max(r["seconds"], 1e-9)) for r in rows]
+        exponent = round(statistics.linear_regression(xs, ys).slope, 3)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("--trials", type=int, default=0,
-                   help="also run this many randomized rank trials")
+                   help="also compute the exact Kalman rank over GF(2^61-1) of up to "
+                        "this many random realizations, stopping at the first of full rank")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_verify)

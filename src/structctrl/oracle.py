@@ -3,10 +3,10 @@
 The primary verdict is purely graph-theoretic and exact: a structured pair
 (A, B) is structurally controllable iff every state is reachable from some
 input (accessibility) and the bipartite graph of state-and-input vertices
-versus states has a matching covering every state (no dilation).  A
-randomized numeric rank check cross-validates the combinatorial verdict on
-small systems, and a subset search provides ground truth for the fast
-placement path.
+versus states has a matching covering every state (no dilation).  An
+exact Kalman rank of random realizations over the prime field GF(2^61 - 1)
+cross-validates the combinatorial verdict, and a subset search provides
+ground truth for the fast placement path.
 
 The matcher here is deliberately separate from ``matching.py`` so that the
 oracle shares no matching code with the placement pipeline it is meant to
@@ -20,13 +20,14 @@ call, until a phase augments nothing.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .graph_core import StructPattern, build_digraph, strongly_connected_components
+
+_PRIME = (1 << 61) - 1  # a Mersenne prime
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,8 @@ def is_structurally_controllable(
     ``accessibility_ok``: every state lies on a directed path from some
     input-connected state.  ``dilation_free``: the states and inputs on the
     left versus the states on the right admit a matching covering all n
-    states.  With ``trials`` > 0 a randomized Kalman rank is attached as
-    advisory cross-validation.
+    states.  With ``trials`` > 0 the best rank found by
+    :func:`numeric_cross_check` is attached as ``numeric_rank``.
     """
     _check_dims(a, b)
     n = a.n_rows
@@ -154,8 +155,6 @@ def is_structurally_controllable(
         adj[j].append(i)
     for i, k in b.nonzeros:
         adj[n + k].append(i)
-    for row in adj:
-        row.sort()
     seen: set[int] = set()
     stack = list(range(n, n + b.n_cols))
     while stack:
@@ -178,75 +177,69 @@ def is_structurally_controllable(
     )
 
 
-def _random_realization(
-    pattern: StructPattern, rng: np.random.Generator
-) -> np.ndarray:
-    mat = np.zeros((pattern.n_rows, pattern.n_cols))
-    for i, j in sorted(pattern.nonzeros):
-        mat[i, j] = rng.uniform(0.5, 1.5)
-    return mat
+def _krylov_rank(rows: list[list[tuple[int, int]]], block: list[list[int]], n: int) -> int:
+    """Rank modulo ``_PRIME`` of span{A^k B : k >= 0}, capped at n.
 
-
-def _controllability_matrix(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    n = amat.shape[0]
-    blocks = [bmat]
-    for _ in range(n - 1):
-        blocks.append(amat @ blocks[-1])
-    return np.hstack(blocks)
+    ``rows[i]`` holds the (column, value) pairs of row i of A; ``block``
+    holds B's columns.  A basis vector is 1 at its pivot and 0 at every
+    earlier pivot, so one pass in insertion order clears all pivots.  The
+    next block is A times the vectors that were independent.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    while block:
+        fresh = []
+        for v in block:
+            # Reduced modulo p once at the end: entries stay below n * p^2.
+            for piv, w in basis:
+                c = v[piv] % _PRIME
+                if c:
+                    v = [x - c * y for x, y in zip(v, w)]
+            v = [x % _PRIME for x in v]
+            piv = next((i for i, x in enumerate(v) if x), -1)
+            if piv < 0:
+                continue
+            inv = pow(v[piv], -1, _PRIME)
+            v = [x * inv % _PRIME for x in v]
+            basis.append((piv, v))
+            if len(basis) == n:
+                return n
+            fresh.append(v)
+        block = [[sum(val * v[j] for j, val in row) % _PRIME for row in rows] for v in fresh]
+    return len(basis)
 
 
 def numeric_cross_check(
     a: StructPattern, b: StructPattern, trials: int = 5, seed: int = 0
 ) -> tuple[str, int]:
-    """Classify the randomized rank evidence for (A, B).
+    """Exact Kalman rank of random realizations of (A, B) over GF(2^61 - 1).
 
-    Returns (verdict, best rank) with verdict one of "controllable",
-    "uncontrollable", "indeterminate".  The rank is the best Kalman-matrix
-    rank over ``trials`` realizations with non-zero entries drawn uniformly
-    from [0.5, 1.5] (bounded away from zero to avoid accidental
-    cancellations), counting singular values above
-    max(matrix dims) * machine epsilon * largest singular value.  A trial
-    is decisive for full rank when its smallest kept singular value clears
-    the rank tolerance by a factor of 10; a rank-deficient trial is
-    decisive when the kept and dropped singular values are separated by at
-    least six orders of magnitude.  Anything borderline is reported as
-    indeterminate rather than guessed.
+    Returns ("controllable" or "uncontrollable", best rank).  Each trial
+    draws every nonzero of A and then of B, in sorted entry order,
+    uniformly from 1..p-1 with ``random.Random(seed)``, and computes the
+    rank of [B, AB, ..., A^(n-1) B] modulo p exactly, in O(n^3 + n * nnz).
+    Trials stop at the first one of full rank.  The error is one-sided:
+    rank n modulo p implies rank n over the rationals, so it proves
+    structural controllability, and an uncontrollable pair never reaches
+    it.  A controllable pair falls short with probability at most about
+    n^2 / 2^61 per trial (Schwartz, JACM 27(4), 1980).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_dims(a, b)
     n = a.n_rows
-    if b.n_cols == 0:
-        return ("uncontrollable" if n > 0 else "controllable"), 0
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best = 0
-    any_full = False
-    all_clean_deficient = True
     for _ in range(trials):
-        ctrb = _controllability_matrix(
-            _random_realization(a, rng), _random_realization(b, rng)
-        )
-        svals = np.linalg.svd(ctrb, compute_uv=False)
-        if svals.size == 0 or svals[0] == 0.0:
-            best = max(best, 0)
-            continue
-        tol = max(ctrb.shape) * np.finfo(float).eps * svals[0]
-        rank = int(np.count_nonzero(svals > tol))
-        best = max(best, rank)
-        if rank == n and svals[n - 1] > 10 * tol:
-            any_full = True
-        elif rank < n:
-            dropped = svals[rank] if rank < svals.size else 0.0
-            kept = svals[rank - 1] if rank > 0 else np.inf
-            if dropped > 0 and kept / dropped < 1e6:
-                all_clean_deficient = False
-        else:
-            all_clean_deficient = False  # full rank but barely
-    if any_full:
-        return "controllable", best
-    if best < n and all_clean_deficient:
-        return "uncontrollable", best
-    return "indeterminate", best
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, j in sorted(a.nonzeros):
+            rows[i].append((j, rng.randint(1, _PRIME - 1)))
+        block = [[0] * n for _ in range(b.n_cols)]
+        for i, k in sorted(b.nonzeros):
+            block[k][i] = rng.randint(1, _PRIME - 1)
+        best = max(best, _krylov_rank(rows, block, n))
+        if best == n:
+            return "controllable", n
+    return "uncontrollable", best
 
 
 def brute_force_minimum(

@@ -475,13 +475,14 @@ def enumerate_configurations(
             if states in seen:
                 continue
             seen.add(states)
-            b = emit_input_matrix(InputConfiguration(states), n)
+            config = InputConfiguration(states)
+            b = emit_input_matrix(config, n)
             if not oracle.is_structurally_controllable(a_pattern, b).controllable:
                 rejections += 1
                 continue
             if len(configs) >= limit:
                 return False
-            configs.append(InputConfiguration(states))
+            configs.append(config)
         return True
 
     ml, mr = summary.absorbed

@@ -1,7 +1,10 @@
 """The package root's public surface, the README example, and the no-assert rule."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import structctrl
@@ -54,3 +57,17 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert found == [], f"{path.name}: assert on lines {found}"
+
+
+def test_cli_startup_does_not_import_numpy():
+    code = (
+        "import sys\n"
+        "from structctrl.cli import run_cli\n"
+        "run_cli(['--version'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,10 +15,13 @@ from structctrl import (
     is_structurally_controllable,
     min_dedicated_inputs,
     numeric_cross_check,
+    parse_pattern,
 )
 from structctrl.matching import solve_matching
 from structctrl.oracle import _augmenting_matcher
 from brute import brute_max_matching_size, random_pattern
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _dedicated(states, n):
@@ -82,10 +86,41 @@ def test_numeric_agrees_with_graph_verdict():
         b = _dedicated(states, n)
         verdict = is_structurally_controllable(a, b)
         label, rank = numeric_cross_check(a, b, trials=5, seed=rng.randrange(10**6))
-        if label == "indeterminate":
-            continue
+        assert label != "indeterminate"
         assert (label == "controllable") == verdict.controllable
         assert (rank == n) == verdict.controllable
+
+
+@pytest.mark.parametrize("b_path", sorted(GOLDEN.glob("*.b*.el")), ids=lambda p: p.name)
+def test_numeric_agrees_with_graph_verdict_on_golden_pairs(b_path):
+    a = parse_pattern(GOLDEN / (b_path.name.split(".")[0] + ".el"))
+    b = parse_pattern(b_path)
+    controllable = is_structurally_controllable(a, b).controllable
+    label, rank = numeric_cross_check(a, b, trials=2, seed=0)
+    assert label == ("controllable" if controllable else "uncontrollable")
+    assert (rank == a.n_rows) == controllable
+    assert controllable == (".b-short." not in b_path.name)
+
+
+def test_numeric_rank_stops_at_the_first_full_rank_trial(sync6_pattern, monkeypatch):
+    from structctrl import oracle
+
+    calls = []
+    krylov_rank = oracle._krylov_rank
+    monkeypatch.setattr(
+        oracle, "_krylov_rank", lambda *args: calls.append(1) or krylov_rank(*args)
+    )
+    full = numeric_cross_check(sync6_pattern, _dedicated({0, 1, 4}, 6), trials=5)
+    assert (full, len(calls)) == (("controllable", 6), 1)
+    short = numeric_cross_check(sync6_pattern, _dedicated({0, 1, 2}, 6), trials=5)
+    assert (short, len(calls)) == (("uncontrollable", 5), 6)
+
+
+def test_numeric_rank_without_inputs():
+    a = StructPattern(3, 3, {(1, 0)})
+    assert numeric_cross_check(a, StructPattern(3, 0, frozenset()), 1) == ("uncontrollable", 0)
+    empty = StructPattern(0, 0, frozenset())
+    assert numeric_cross_check(empty, empty, 1) == ("controllable", 0)
 
 
 def test_adding_input_columns_is_monotone():
