@@ -35,6 +35,14 @@ from .placement import (
 
 SCHEMA_VERSION = 1
 
+# Bounds on ``verify --trials``.  One exact Kalman-rank trial is O(n^3)
+# arithmetic on Python integers and keeps an n x n basis: about 8 s at
+# n = 400 on a 2-core machine, so by the cubic growth about 2 minutes at
+# the state limit.  A controllable pair misses full rank with probability
+# about n^2 / 2^61 per trial, so a few trials are already conclusive.
+MAX_TRIAL_STATES = 1_000
+MAX_TRIALS = 20
+
 
 def _one_based(states) -> list[int]:
     return [s + 1 for s in sorted(states)]
@@ -202,9 +210,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be between 0 and {MAX_TRIALS}, got {args.trials}")
     a = parse_pattern(args.a_file, args.input_format)
+    if args.trials and a.n_rows > MAX_TRIAL_STATES:
+        raise ValueError(
+            f"--trials needs at most {MAX_TRIAL_STATES} states, got n={a.n_rows}; "
+            "the graph verdict without --trials is exact at any size"
+        )
     b = parse_pattern(args.b_file, args.input_format)
     verdict = is_structurally_controllable(a, b, trials=args.trials, seed=args.seed)
     report = {
@@ -340,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b_file")
     p.add_argument("--trials", type=int, default=0,
                    help="also compute the exact Kalman rank over GF(2^61-1) of up to "
-                        "this many random realizations, stopping at the first of full rank")
+                        f"this many random realizations (at most {MAX_TRIALS}), stopping at "
+                        f"the first of full rank; needs n <= {MAX_TRIAL_STATES}")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_verify)

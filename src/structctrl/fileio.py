@@ -122,7 +122,7 @@ def _parse_edgelist(text: str) -> StructPattern:
             raise PatternFormatError(
                 f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
             )
-    return StructPattern(n_rows, n_cols, _dedup(entries, "edgelist"))
+    return StructPattern._prechecked(n_rows, n_cols, _dedup(entries, "edgelist"))
 
 
 def _parse_json(text: str) -> StructPattern:
@@ -155,7 +155,7 @@ def _parse_json(text: str) -> StructPattern:
                 f"nonzeros[{k - 1}]: entry ({i}, {j}) outside {n_rows}x{n_cols} pattern"
             )
         entries.append((k, i, j))
-    return StructPattern(n_rows, n_cols, _dedup(entries, "JSON"))
+    return StructPattern._prechecked(n_rows, n_cols, _dedup(entries, "JSON"))
 
 
 def _is_json_int(value: object) -> bool:
@@ -210,7 +210,7 @@ def _parse_mtx(text: str) -> StructPattern:
         )
     if symmetry == "symmetric":
         entries = entries + [(ln, j, i) for ln, i, j in entries if i != j]
-    return StructPattern(dims[0], dims[1], _dedup(entries, "matrix"))
+    return StructPattern._prechecked(dims[0], dims[1], _dedup(entries, "matrix"))
 
 
 def _check_size(value: int, where: str) -> int:
@@ -325,7 +325,7 @@ def gen_random(
         provenance = f"gen model=banded n={n} band={w} fill={f} seed={seed}"
     else:
         raise ValueError(f"unknown model {model!r}; expected erdos, scalefree or banded")
-    return StructPattern(n, n, frozenset(nonzeros)), provenance
+    return StructPattern._prechecked(n, n, frozenset(nonzeros)), provenance
 
 
 def _bernoulli_cells(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:

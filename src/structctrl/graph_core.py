@@ -35,6 +35,22 @@ class StructPattern:
                     f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} pattern"
                 )
 
+    @classmethod
+    def _prechecked(
+        cls, n_rows: int, n_cols: int, nonzeros: frozenset[tuple[int, int]]
+    ) -> "StructPattern":
+        """A pattern from entries the caller has already range-checked.
+
+        The parsers check each entry against the declared size as they read
+        it, and the library's own builders make in-range entries only, so
+        they skip the repeat check; patterns built by users keep it.
+        """
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "n_rows", n_rows)
+        object.__setattr__(pattern, "n_cols", n_cols)
+        object.__setattr__(pattern, "nonzeros", nonzeros)
+        return pattern
+
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
@@ -44,7 +60,7 @@ class StructPattern:
         return len(self.nonzeros)
 
     def transpose(self) -> "StructPattern":
-        return StructPattern(
+        return StructPattern._prechecked(
             self.n_cols, self.n_rows, frozenset((j, i) for i, j in self.nonzeros)
         )
 
@@ -131,7 +147,9 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
 def pattern_of(g: SystemDigraph) -> StructPattern:
     """Inverse of build_digraph: row v holds the predecessors of v."""
     rows = g.predecessors()
-    return StructPattern(g.n, g.n, frozenset((v, u) for v in range(g.n) for u in rows[v]))
+    return StructPattern._prechecked(
+        g.n, g.n, frozenset((v, u) for v in range(g.n) for u in rows[v])
+    )
 
 
 def strongly_connected_components(g: SystemDigraph) -> Condensation:

@@ -6,9 +6,18 @@ edge (u, v).  Right vertices missed by a maximum matching are the roots of
 the state stems in the stem/cycle decomposition, and their count drives
 the input-placement arithmetic in :mod:`structctrl.placement`.
 
-Everything here is deterministic: adjacency lists are sorted and
-augmenting-path searches visit vertices in ascending index order, so a
-fixed input always yields the same matching.
+Maximum matchings come from one Hopcroft-Karp engine, ``solve_matching``,
+which can be seeded with any valid matching and only augments it.  The
+placement pipeline seeds it with ``karp_sipser``: vertices with one free
+neighbour are matched first, then the lowest free left vertex takes its
+first free neighbour.  On sparse systems that start is maximum or a few
+augmentations short, so Hopcroft-Karp needs a few short phases instead
+of many long ones from an empty matching.
+
+Everything here is deterministic: adjacency lists are sorted, the
+Karp-Sipser queue is first in first out, and augmenting-path searches
+visit vertices in ascending index order, so a fixed input always yields
+the same matching.
 """
 
 from __future__ import annotations
@@ -95,8 +104,8 @@ def to_state_bipartite(g: SystemDigraph) -> BipartiteGraph:
 
 # ---------------------------------------------------------------------------
 # Hopcroft-Karp engine.  Shared by maximum_matching and by the placement
-# pipeline (which seeds it with an existing matching and adds auxiliary
-# left vertices).
+# pipeline (which seeds it with a Karp-Sipser start or an existing
+# matching, and adds auxiliary left vertices).
 # match_l / match_r use -1 for "unmatched".
 # ---------------------------------------------------------------------------
 
@@ -156,6 +165,65 @@ def solve_matching(
 
     size = sum(1 for r in match_l if r != -1)
     return match_l, match_r, size
+
+
+def karp_sipser(
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
+) -> tuple[list[int], list[int]]:
+    """Maximal matching by the Karp-Sipser heuristic, as a seed for HK.
+
+    ``succ`` holds each left vertex's right neighbours and ``pred`` each
+    right vertex's left neighbours (the same edges, transposed).  A vertex
+    on either side with exactly one free neighbour is matched to it first,
+    since some maximum matching does so.  When no such vertex is left, the
+    lowest-index free left vertex takes its first free right neighbour.
+    Every match costs one pass over the two endpoints' lists to update the
+    free-neighbour counts, so the whole start is O(V + E).  Karp and
+    Sipser, FOCS 1981; Duff, Kaya and Ucar, ACM TOMS 38(2), 2011.
+    """
+    match_l = [-1] * len(succ)
+    match_r = [-1] * len(pred)
+    deg_l = [len(row) for row in succ]  # free right neighbours
+    deg_r = [len(col) for col in pred]  # free left neighbours
+    # Vertices to match to their first free neighbour, left l as l and
+    # right r as ~r: the degree-1 ones, first in first out, and when none
+    # is left the lowest-index free left vertex with a free neighbour.
+    queue = [l for l, d in enumerate(deg_l) if d == 1]
+    queue += [~r for r, d in enumerate(deg_r) if d == 1]
+    greedy = 0
+    while True:
+        for x in queue:  # also visits what the loop appends
+            if x >= 0:
+                l = x
+                if match_l[l] != -1 or not deg_l[l]:
+                    continue
+                for r in succ[l]:
+                    if match_r[r] == -1:
+                        break
+            else:
+                r = ~x
+                if match_r[r] != -1 or not deg_r[r]:
+                    continue
+                for l in pred[r]:
+                    if match_l[l] == -1:
+                        break
+            match_l[l] = r
+            match_r[r] = l
+            for w in succ[l]:
+                if match_r[w] == -1:
+                    deg_r[w] -= 1
+                    if deg_r[w] == 1:
+                        queue.append(~w)
+            for w in pred[r]:
+                if match_l[w] == -1:
+                    deg_l[w] -= 1
+                    if deg_l[w] == 1:
+                        queue.append(w)
+        while greedy < len(succ) and (match_l[greedy] != -1 or not deg_l[greedy]):
+            greedy += 1
+        if greedy == len(succ):
+            return match_l, match_r
+        queue = [greedy]
 
 
 def _augment(root, adj, match_l, match_r, dist, dist_free, ptr) -> bool:

@@ -27,9 +27,11 @@ each search node's absorbed matching from its parent's with one exchange
 search and at most one re-absorption.  So it has polynomial delay: at most
 m + 1 witness calls per root set, plus one oracle call per placement.
 
-``min_dedicated_inputs`` absorbs the source SCCs once and keeps the absorbed
-matching; the default placement is the first completion the enumeration
-lists for its roots.
+``min_dedicated_inputs`` finds its witness by Hopcroft-Karp seeded with a
+Karp-Sipser start over the digraph's shared successor and predecessor
+lists, absorbs the source SCCs once and keeps the absorbed matching; the
+default placement is the first completion the enumeration lists for its
+roots.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .graph_core import (
     pattern_of,
     strongly_connected_components,
 )
-from .matching import Matching, matching_from_pairs, solve_matching
+from .matching import Matching, karp_sipser, matching_from_pairs, solve_matching
 
 
 @dataclass(frozen=True)
@@ -217,16 +219,18 @@ def min_dedicated_inputs(
 ) -> PlacementSummary:
     """Minimum number of dedicated inputs for structural controllability.
 
-    Optionally seeded with a specific maximum matching; the counts
-    (m, beta, alpha, p) do not depend on the seed, but the witness-relative
-    artifacts (slot order of the partitions) do.
+    Optionally seeded with a specific maximum matching; without one, the
+    witness is Hopcroft-Karp started from :func:`karp_sipser`.  The counts
+    (m, beta, alpha, p) do not depend on the witness, but the
+    witness-relative artifacts (assignable vertices, slot order of the
+    partitions, the default placement) do.
     """
     if g.n == 0:
         raise ValueError("the system must have at least one state vertex")
 
     adj = g.successors()
     if matching is None:
-        ml, mr, size = solve_matching(adj, g.n)
+        ml, mr, size = solve_matching(adj, g.n, *karp_sipser(adj, g.predecessors()))
         witness = matching_from_pairs(
             ((l, r) for l, r in enumerate(ml) if r != -1), g.n
         )
@@ -518,7 +522,7 @@ def emit_input_matrix(config: InputConfiguration, n: int) -> StructPattern:
     for s in states:
         if not (0 <= s < n):
             raise ValueError(f"state {s} outside range 0..{n - 1}")
-    return StructPattern(
+    return StructPattern._prechecked(
         n, len(states), frozenset((s, k) for k, s in enumerate(states))
     )
 

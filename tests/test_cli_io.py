@@ -21,6 +21,7 @@ from structctrl import (
 )
 from structctrl import cli
 from structctrl.cli import run_cli
+from structctrl.oracle import OracleVerdict
 from brute import random_pattern
 
 SYNC6_EDGELIST = """\
@@ -281,6 +282,51 @@ def test_cli_verify_negative_trials_exits_2(sync6_file, tmp_path, capsys):
     b.write_text("shape 6 3\n1 1\n2 2\n5 3\n")
     assert run_cli(["verify", str(sync6_file), str(b), "--trials", "-1"]) == 2
     assert "--trials" in capsys.readouterr().err
+
+
+def _oracle_stub(calls):
+    def stub(a, b, trials=0, seed=0):
+        calls.append((a.n_rows, trials))
+        return OracleVerdict(True, True, True, a.n_rows if trials else None)
+
+    return stub
+
+
+def test_cli_verify_refuses_too_many_trials_before_any_work(sync6_file, tmp_path,
+                                                            monkeypatch, capsys):
+    b = tmp_path / "b.el"
+    b.write_text("shape 6 3\n1 1\n2 2\n5 3\n")
+    calls = []
+    monkeypatch.setattr(cli, "is_structurally_controllable", _oracle_stub(calls))
+    argv = ["verify", str(sync6_file), str(b), "--trials"]
+    assert run_cli(argv + [str(cli.MAX_TRIALS + 1)]) == 2
+    assert f"--trials must be between 0 and {cli.MAX_TRIALS}" in capsys.readouterr().err
+    assert calls == []
+    assert run_cli(argv + [str(cli.MAX_TRIALS)]) == 0
+    assert calls == [(6, cli.MAX_TRIALS)]
+
+
+def test_cli_verify_refuses_trials_above_the_state_limit(tmp_path, monkeypatch, capsys):
+    # A pattern one state over the limit: refused before any trial runs,
+    # while the same pair without --trials gets the graph verdict.
+    def files(n):
+        a, b = tmp_path / f"a{n}.el", tmp_path / f"b{n}.el"
+        a.write_text(f"n {n}\n1 1\n")
+        b.write_text(f"shape {n} 1\n1 1\n")
+        return [str(a), str(b)]
+
+    over = files(cli.MAX_TRIAL_STATES + 1)
+    calls = []
+    monkeypatch.setattr(cli, "is_structurally_controllable", _oracle_stub(calls))
+    assert run_cli(["verify", *over, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"--trials needs at most {cli.MAX_TRIAL_STATES} states" in err
+    assert calls == []
+    assert run_cli(["verify", *files(cli.MAX_TRIAL_STATES), "--trials", "1"]) == 0
+    assert calls == [(cli.MAX_TRIAL_STATES, 1)]
+    monkeypatch.undo()
+    assert run_cli(["verify", *over]) == 1
+    assert "controllable: false" in capsys.readouterr().out
 
 
 def test_cli_design_inputs_all(sync6_file, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from structctrl import StructPattern, build_digraph
+from structctrl import StructPattern, build_digraph, parse_pattern, write_pattern
 from structctrl.graph_core import SystemDigraph, pattern_of, strongly_connected_components
 from structctrl.oracle import is_structurally_controllable
 from structctrl.placement import (
@@ -60,6 +60,22 @@ def test_pattern_validates_indices():
         StructPattern(2, 2, {(2, 0)})
     with pytest.raises(ValueError):
         StructPattern(2, 2, {(0, -1)})
+
+
+def test_library_built_patterns_equal_checked_ones(tmp_path):
+    # transpose, pattern_of and the parsers skip the repeat range check;
+    # what they build must be indistinguishable from a checked pattern.
+    rng = random.Random(8)
+    for _ in range(30):
+        p = random_pattern(rng, rng.randint(1, 6), 0.4)
+        t = p.transpose()
+        checked_t = StructPattern(p.n_cols, p.n_rows, {(j, i) for i, j in p.nonzeros})
+        path = tmp_path / "p.el"
+        write_pattern(p, path)
+        for built, checked in ((t, checked_t), (pattern_of(build_digraph(p)), p),
+                               (parse_pattern(path), p)):
+            assert built == checked and hash(built) == hash(checked)
+            assert type(built.nonzeros) is frozenset
 
 
 def test_scc_worked_example(sync6_graph):

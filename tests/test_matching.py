@@ -10,8 +10,8 @@ from structctrl import (
     to_state_bipartite,
 )
 from structctrl.graph_core import SystemDigraph
-from structctrl.matching import BipartiteGraph, Matching, solve_matching
-from structctrl.placement import _avoidable
+from structctrl.matching import BipartiteGraph, Matching, karp_sipser, solve_matching
+from structctrl.placement import _avoidable, min_dedicated_inputs
 from brute import (
     all_matchings,
     all_unmatched_sets,
@@ -78,6 +78,63 @@ def test_maximum_matching_agrees_with_exhaustive_search():
         assert m.size == brute_max_matching_size(bg)
         covered = {r for _, r in m.pairs}
         assert set(m.right_unmatched) == set(range(bg.right_size)) - covered
+
+
+def _random_rectangular(rng):
+    n_left, n_right = rng.randint(0, 6), rng.randint(0, 6)
+    density = rng.choice((0.15, 0.3, rng.random()))
+    return BipartiteGraph(n_left, n_right, {
+        (l, r) for l in range(n_left) for r in range(n_right) if rng.random() < density
+    })
+
+
+def _right_adjacency(bg):
+    pred = [[] for _ in range(bg.right_size)]
+    for l, r in sorted(bg.edges):
+        pred[r].append(l)
+    return pred
+
+
+def test_karp_sipser_is_a_maximal_matching_that_seeds_a_maximum_one():
+    rng = random.Random(88)
+    for _ in range(300):
+        bg = _random_rectangular(rng)
+        adj, pred = bg.left_adjacency(), _right_adjacency(bg)
+        ml, mr = karp_sipser(adj, pred)
+        assert (len(ml), len(mr)) == (bg.left_size, bg.right_size)
+        pairs = {(l, r) for l, r in enumerate(ml) if r != -1}
+        assert pairs <= bg.edges
+        assert pairs == {(l, r) for r, l in enumerate(mr) if l != -1}
+        # Maximal: a free left vertex has only matched right neighbours.
+        for l, row in enumerate(adj):
+            if ml[l] == -1:
+                assert all(mr[r] != -1 for r in row)
+        assert karp_sipser(adj, pred) == (ml, mr)  # deterministic
+        _, _, size = solve_matching(adj, bg.right_size, ml, mr)
+        assert size == brute_max_matching_size(bg)
+
+
+def test_karp_sipser_matches_degree_one_vertices_first():
+    # Left 0 has two neighbours, left 1 only right 0: a greedy pass from
+    # left 0 would take right 0 and strand left 1.
+    ml, mr = karp_sipser([[0, 1], [0]], [[0, 1], [0]])
+    assert ml == [1, 0] and mr == [1, 0]
+    # No left vertex has degree 1, but right 1 has only left 0; a greedy
+    # pass would give left 0 right 0 and leave left 2 unmatched.
+    succ = [[0, 1], [0, 2], [0, 2]]
+    pred = [[0, 1, 2], [0], [1, 2]]
+    assert karp_sipser(succ, pred) == ([1, 0, 2], [1, 0, 2])
+
+
+def test_karp_sipser_seed_keeps_the_counts_of_an_unseeded_witness():
+    # The default analysis starts HK from Karp-Sipser; a witness from cold
+    # HK must give the same (m, beta, alpha, p).
+    rng = random.Random(99)
+    for _ in range(200):
+        g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5))
+        ks = min_dedicated_inputs(g)
+        hk = min_dedicated_inputs(g, matching=maximum_matching(to_state_bipartite(g)))
+        assert (ks.m, ks.beta, ks.alpha, ks.p) == (hk.m, hk.beta, hk.alpha, hk.p)
 
 
 @pytest.mark.parametrize("seed", ["match_l", "match_r"])
