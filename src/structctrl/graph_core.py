@@ -7,6 +7,11 @@ Everything downstream -- strongly connected components and the source
 components that no other state feeds into -- is computed on that
 influence digraph, which keeps its edges only as adjacency lists.
 
+``build_digraph`` fills the successor lists straight from a pattern's
+entries in one pass, so they share the pattern's int objects, and derives
+the predecessor lists from them.  ``strongly_connected_components`` is one
+iterative Tarjan pass that also finds the source components.
+
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
 """
@@ -88,11 +93,33 @@ class SystemDigraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             succ[u].append(v)
-        # Deduplicated successors, walked in order, give sorted predecessors.
-        pred: list[list[int]] = [[] for _ in range(n)]
         for u, targets in enumerate(succ):
             if len(targets) > 1:
-                targets = succ[u] = sorted(set(targets))
+                succ[u] = sorted(set(targets))
+        self._set_adjacency(succ)
+
+    @classmethod
+    def _from_successors(cls, n: int, succ: list[list[int]]) -> "SystemDigraph":
+        """A digraph from successor lists that are already ascending,
+        duplicate-free and in range.
+
+        ``build_digraph`` makes such lists straight from a pattern, whose
+        entries are unique and in range, so it skips the checks that the
+        public constructor makes on arbitrary pairs.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        g._set_adjacency(succ)
+        return g
+
+    def _set_adjacency(self, succ: list[list[int]]) -> None:
+        """Keep ``succ`` and derive the predecessor lists from it.
+
+        Walking ascending, duplicate-free successor lists in vertex order
+        gives ascending, duplicate-free predecessor lists.
+        """
+        pred: list[list[int]] = [[] for _ in range(self.n)]
+        for u, targets in enumerate(succ):
             for v in targets:
                 pred[v].append(u)
         object.__setattr__(self, "_succ", succ)
@@ -141,7 +168,13 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
         raise ValueError(
             f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
         )
-    return SystemDigraph(pattern.n_rows, ((j, i) for i, j in pattern.nonzeros))
+    n = pattern.n_rows
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pattern.nonzeros:
+        succ[j].append(i)
+    for targets in succ:
+        targets.sort()
+    return SystemDigraph._from_successors(n, succ)
 
 
 def pattern_of(g: SystemDigraph) -> StructPattern:
@@ -157,72 +190,76 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
 
     Vertices with no edges at all form singleton components.  A component
     is non-top-linked exactly when no edge enters it from another component.
+    Each vertex on the DFS path keeps one iterator over its successors, so
+    the depth is bounded by memory, not by the recursion limit.
     """
     n = g.n
     adj = g.successors()
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # pop-order component id; -1 while unvisited or on the stack
+    # By pop-order id: whether an edge from another component enters it.  An
+    # edge to a popped vertex crosses components, and so does the tree edge
+    # into a component's root.
+    entered: list[bool] = []
     stack: list[int] = []
-    comps: list[list[int]] = []
     counter = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = adj[v]
-            while ptr < len(neighbors):
-                w = neighbors[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    descended = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        path = [root]
+        frames = [iter(adj[root])]
+        while frames:
+            v = path[-1]
+            for w in frames[-1]:
+                k = index[w]
+                if k == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    path.append(w)
+                    frames.append(iter(adj[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                c = comp[w]
+                if c != -1:
+                    entered[c] = True
+                elif k < low[v]:
+                    low[v] = k
+            else:
+                frames.pop()
+                path.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    c = len(entered)
+                    entered.append(bool(path))
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        if w == v:
+                            break
+                elif lv < low[path[-1]]:
+                    low[path[-1]] = lv
 
-    # Stable ids: sort components by smallest member.
-    ordered = sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0])
+    # Stable ids: components numbered in the order of their smallest member.
+    renumber = [-1] * len(entered)
     scc_of = [0] * n
-    for cid, members in enumerate(ordered):
-        for v in members:
-            scc_of[v] = cid
-
-    has_incoming = [False] * len(ordered)
-    for u, targets in enumerate(adj):
-        for v in targets:
-            if scc_of[v] != scc_of[u]:
-                has_incoming[scc_of[v]] = True
-    non_top = frozenset(c for c in range(len(ordered)) if not has_incoming[c])
+    members: list[list[int]] = []
+    for v, c in enumerate(comp):
+        k = renumber[c]
+        if k == -1:
+            k = renumber[c] = len(members)
+            members.append([v])
+        else:
+            members[k].append(v)
+        scc_of[v] = k
+    non_top = frozenset(renumber[c] for c, crossed in enumerate(entered) if not crossed)
 
     return Condensation(
         scc_of=tuple(scc_of),
-        scc_members=tuple(ordered),
+        scc_members=tuple(map(tuple, members)),
         non_top_linked=non_top,
     )
-

@@ -5,7 +5,10 @@ augmenting-path machinery: matchings are built edge subset by edge subset.
 Small n only.
 """
 
+import warnings
+
 from structctrl import StructPattern
+from structctrl.fileio import MAX_STATES, PatternFormatError
 
 
 def bip_edges(bg):
@@ -93,3 +96,96 @@ def random_strongly_connected_pattern(rng, n, extra_density=0.2):
             return StructPattern(n, n, nz)
         style = "er"
     raise AssertionError("failed to sample a strongly connected pattern")
+
+
+def brute_condensation(n, succ):
+    """(scc_of, non_top_linked) from mutual reachability, by transitive closure.
+
+    Components are numbered in the order of their smallest member, as
+    ``strongly_connected_components`` numbers them.
+    """
+    reach = [[v == w or w in succ[v] for w in range(n)] for v in range(n)]
+    for k in range(n):
+        for v in range(n):
+            if reach[v][k]:
+                reach[v] = [a or b for a, b in zip(reach[v], reach[k])]
+    scc_of = [-1] * n
+    count = 0
+    for v in range(n):
+        if scc_of[v] == -1:
+            for w in range(n):
+                if reach[v][w] and reach[w][v]:
+                    scc_of[w] = count
+            count += 1
+    entered = {scc_of[w] for v in range(n) for w in succ[v] if scc_of[v] != scc_of[w]}
+    return tuple(scc_of), frozenset(range(count)) - entered
+
+
+# The edgelist parser as it was before it was rewritten for speed, kept
+# verbatim as the reference its replacement must agree with, message for
+# message.
+
+
+def reference_parse_edgelist(text):
+    entries = []  # (line_no, row, col) one-based
+    declared = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if len(parts) != 2 or not _is_digits(parts[1]):
+                raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
+            size = _check_size(int(parts[1]), f"line {line_no}")
+            declared = (size, size)
+            continue
+        if parts[0] == "shape":
+            if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
+                raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
+            declared = (
+                _check_size(int(parts[1]), f"line {line_no}"),
+                _check_size(int(parts[2]), f"line {line_no}"),
+            )
+            continue
+        if len(parts) != 2:
+            raise PatternFormatError(f"line {line_no}: expected 'i j', got {raw!r}")
+        a, b = parts
+        if not (line.isascii() and a.isdigit() and b.isdigit()):
+            raise PatternFormatError(f"line {line_no}: indices must be ASCII digits, got {raw!r}")
+        i, j = int(a), int(b)
+        if i < 1 or j < 1:
+            raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
+        entries.append((line_no, i, j))
+
+    if declared is None:
+        line_no, i, j = max(entries, key=lambda e: max(e[1], e[2]), default=(0, 0, 0))
+        size = _check_size(max(i, j), f"line {line_no}")
+        declared = (size, size)
+    n_rows, n_cols = declared
+    for line_no, i, j in entries:
+        if i > n_rows or j > n_cols:
+            raise PatternFormatError(
+                f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
+            )
+    return StructPattern(n_rows, n_cols, _dedup(entries, "edgelist"))
+
+
+def _dedup(entries, what):
+    nonzeros = frozenset((i - 1, j - 1) for _, i, j in entries)
+    dupes = len(entries) - len(nonzeros)
+    if dupes:
+        warnings.warn(f"{dupes} duplicate {what} entr{'y' if dupes == 1 else 'ies'} ignored")
+    return nonzeros
+
+
+def _check_size(value, where):
+    if value > MAX_STATES:
+        raise PatternFormatError(
+            f"{where}: dimension {value} exceeds the limit of {MAX_STATES} states"
+        )
+    return value
+
+
+def _is_digits(token):
+    return token.isascii() and token.isdigit()

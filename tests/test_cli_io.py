@@ -4,9 +4,13 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import structctrl
 
@@ -19,10 +23,10 @@ from structctrl import (
     parse_pattern,
     write_pattern,
 )
-from structctrl import cli
+from structctrl import cli, fileio
 from structctrl.cli import run_cli
 from structctrl.oracle import OracleVerdict
-from brute import random_pattern
+from brute import random_pattern, reference_parse_edgelist
 
 SYNC6_EDGELIST = """\
 # 6-agent synchronization example
@@ -91,6 +95,132 @@ def test_parse_rectangular_shape_directive(tmp_path):
     p = parse_pattern(path)
     assert (p.n_rows, p.n_cols) == (6, 3)
     assert p.nonzeros == frozenset({(0, 0), (1, 1), (4, 2)})
+
+
+def _parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the pattern and its warnings, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pattern = parse(text)
+        except PatternFormatError as exc:
+            return "error", str(exc)
+    return "pattern", pattern, [str(w.message) for w in caught]
+
+
+EDGELIST_PIECES = [*"0123456789", " ", "\t", "\n", "#", "n", "shape", "\u00b2", "\u0663", "_", "-"]
+# Short lines over the same pieces, so that texts of several entry and size lines are common.
+_LINE = st.lists(st.sampled_from([p for p in EDGELIST_PIECES if p != "\n"]), max_size=6)
+EDGELIST_TEXTS = st.one_of(
+    st.lists(st.sampled_from(EDGELIST_PIECES), max_size=40).map("".join),
+    st.lists(_LINE.map("".join), max_size=8).map("\n".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(EDGELIST_TEXTS)
+def test_edgelist_parser_agrees_with_reference(text):
+    assert _parse_outcome(fileio._parse_edgelist, text) == _parse_outcome(
+        reference_parse_edgelist, text
+    )
+
+
+# File name -> (contents, where the error must point).
+OVERSIZED = {
+    "n.el": ("n 10000001\n", "line 1:"),
+    "shape.el": ("# wide\nshape 3 10000001\n", "line 2:"),
+    "hull.el": ("1 1\n10000001 2\n", "line 2:"),
+    "n.json": ('{"n": 10000001, "nonzeros": []}', "n:"),
+    "cols.json": ('{"n_rows": 3, "n_cols": 10000001, "nonzeros": []}', "n_cols:"),
+    "size.mtx": ("%%MatrixMarket matrix coordinate pattern general\n10000001 3 0\n", "line 2:"),
+}
+
+
+# Edgelist text -> a fragment of the error or warning it must give (None: it parses cleanly).
+EDGELIST_CASES = {
+    "later bad line beats earlier range error": ("n 2\n5 5\nfoo bar baz\n", "line 3: expected 'i j'"),
+    "first bad line wins": ("1 1\n0 2\n1 x\n", "line 2: indices are one-based, got (0, 2)"),
+    "bad line beats hull limit": ("10000001 1\n1 1 1\n", "line 2: expected 'i j'"),
+    "size after entries": ("1 1\n3 3\nn 2\n", "line 2: entry (3, 3) outside declared 2x2"),
+    "last size directive counts": ("n 9\n1 1\n2 9\n1 5\nshape 3 4\n",
+                                   "line 3: entry (2, 9) outside declared 3x4"),
+    "size after entries fits": ("5 5\nn 6\n", None),
+    "range error skips border entries": ("n 3\n3 3\n4 1\n", "line 3: entry (4, 1) outside declared 3x3"),
+    "non-ASCII comment": ("n 3\n1 2 # \u00b2 \u0663 \u00e9\n3 3\n", None),
+    "non-ASCII index": ("n 3\n1 \u0663\n", "line 2: indices must be ASCII digits"),
+    "non-ASCII space between known indices": ("n 3\n1 2\n1\u00a02\n",
+                                              "line 3: indices must be ASCII digits"),
+    "non-ASCII space stripped": ("n 3\n1 2\n\u00a01 2\n", "1 duplicate edgelist entry"),
+    "hull limit": (OVERSIZED["hull.el"][0], "line 2: dimension 10000001 exceeds"),
+    "one duplicate": ("2 1\n2 1\n", "1 duplicate edgelist entry ignored"),
+    "three duplicates": ("1 1\n1 1\n2 2\n1 1\n01 1\n", "3 duplicate edgelist entries ignored"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGELIST_CASES))
+def test_edgelist_parser_fixed_cases(case):
+    text, fragment = EDGELIST_CASES[case]
+    outcome = _parse_outcome(fileio._parse_edgelist, text)
+    assert outcome == _parse_outcome(reference_parse_edgelist, text)
+    if fragment is None:
+        assert outcome[0] == "pattern" and outcome[2] == []
+    else:
+        assert fragment in (outcome[1] if outcome[0] == "error" else " ".join(outcome[2]))
+
+
+def _one_int_per_index(pattern):
+    values = [v for entry in pattern.nonzeros for v in entry]
+    return len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "pattern-json", "mtx-pattern"])
+def test_parsers_keep_one_int_per_index(tmp_path, fmt):
+    # Indices above 256, which CPython does not cache, so sharing is the parser's.
+    rng = random.Random(41)
+    n = 3000
+    pattern = StructPattern(n, n, {(rng.randrange(n), rng.randrange(n)) for _ in range(4000)})
+    path = tmp_path / "p.txt"
+    write_pattern(pattern, path, fmt)
+    parsed = parse_pattern(path, fmt)
+    assert parsed == pattern and _one_int_per_index(parsed)
+
+
+@pytest.mark.parametrize(
+    "name, text, indices",
+    [
+        ("zeros.el", "n 400\n300 0300\n00300 7\n7 300 # again\n", {299, 6}),
+        ("sym.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n400 400 3\n"
+                    "300 7\n7 7\n399 300\n", {299, 6, 398}),
+    ],
+)
+def test_parsers_share_ints_across_spellings_and_mirrors(tmp_path, name, text, indices):
+    path = tmp_path / name
+    path.write_text(text)
+    parsed = parse_pattern(path)
+    assert {v for entry in parsed.nonzeros for v in entry} == indices
+    assert _one_int_per_index(parsed)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("big.el", "n 10000000\n1 2\n9999999 10000000\n"),
+        ("big.json", '{"n": 10000000, "nonzeros": [[1, 2], [9999999, 10000000]]}'),
+        ("big.mtx", "%%MatrixMarket matrix coordinate pattern general\n"
+                    "10000000 10000000 2\n1 2\n9999999 10000000\n"),
+    ],
+)
+def test_parse_allocates_nothing_per_declared_state(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        pattern = parse_pattern(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pattern.n_rows == 10_000_000 and pattern.nnz == 2
+    assert peak < 1_000_000  # one pointer per declared state would be 80 MB
 
 
 def test_parse_json(tmp_path, sync6_pattern):
@@ -416,17 +546,6 @@ def test_cli_bad_size_line_exits_2_with_line(tmp_path, capsys, name, text):
     path.write_text(text)
     assert run_cli(["analyze", str(path)]) == 2
     assert "line " in capsys.readouterr().err
-
-
-# File name -> (contents, where the error must point).
-OVERSIZED = {
-    "n.el": ("n 10000001\n", "line 1:"),
-    "shape.el": ("# wide\nshape 3 10000001\n", "line 2:"),
-    "hull.el": ("1 1\n10000001 2\n", "line 2:"),
-    "n.json": ('{"n": 10000001, "nonzeros": []}', "n:"),
-    "cols.json": ('{"n_rows": 3, "n_cols": 10000001, "nonzeros": []}', "n_cols:"),
-    "size.mtx": ("%%MatrixMarket matrix coordinate pattern general\n10000001 3 0\n", "line 2:"),
-}
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED))

@@ -11,7 +11,7 @@ from structctrl.placement import (
     generate_configuration,
     min_dedicated_inputs,
 )
-from brute import random_pattern
+from brute import brute_condensation, random_pattern
 
 
 def test_build_digraph_worked_example(sync6_graph):
@@ -41,6 +41,18 @@ def test_digraph_keeps_only_its_adjacency():
     assert g == SystemDigraph(3, {(0, 0), (0, 1), (1, 2)})
     assert g != SystemDigraph(3, {(0, 0), (0, 1)})
     assert hash(g) == hash(SystemDigraph(3, {(0, 0), (0, 1), (1, 2)}))
+
+
+def test_direct_build_equals_checked_constructor():
+    rng = random.Random(23)
+    patterns = [StructPattern(0, 0, frozenset())]
+    patterns += [random_pattern(rng, rng.randint(1, 30), rng.random() * 0.4) for _ in range(200)]
+    for p in patterns:
+        g = build_digraph(p)
+        checked = SystemDigraph(p.n_rows, ((j, i) for i, j in p.nonzeros))
+        assert g == checked
+        assert g.successors() == checked.successors()
+        assert g.predecessors() == checked.predecessors()
 
 
 def test_build_digraph_rejects_non_square():
@@ -145,6 +157,35 @@ def test_condensation_properties_random():
         # non-top-linked == DAG in-degree zero
         with_incoming = {b for _, b in dag_edges}
         assert cond.non_top_linked == frozenset(range(cond.n_sccs)) - with_incoming
+
+
+def test_scc_matches_mutual_reachability():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))
+        g = SystemDigraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density])
+        cond = strongly_connected_components(g)
+        scc_of, sources = brute_condensation(n, g.successors())
+        assert cond.scc_of == scc_of
+        assert cond.non_top_linked == sources
+        assert cond.scc_members == tuple(
+            tuple(v for v in range(n) if scc_of[v] == c) for c in range(max(scc_of) + 1)
+        )
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_scc_deep_search_needs_no_recursion(shape):
+    n = 100_000
+    edges = [(v, v + 1) for v in range(n - 1)]
+    if shape == "cycle":
+        edges.append((n - 1, 0))
+    cond = strongly_connected_components(SystemDigraph(n, edges))
+    assert cond.non_top_linked == frozenset({0})
+    if shape == "cycle":
+        assert cond.scc_members == (tuple(range(n)),)
+    else:
+        assert cond.scc_of == tuple(range(n))
 
 
 def test_strongly_connected_graph_single_scc():
