@@ -121,9 +121,9 @@ def brute_condensation(n, succ):
     return tuple(scc_of), frozenset(range(count)) - entered
 
 
-# The edgelist parser as it was before it was rewritten for speed, kept
-# verbatim as the reference its replacement must agree with, message for
-# message.
+# The edgelist parser as it was before it was rewritten for speed: the same
+# checks, in the same order, with the same messages.  Its replacement must
+# agree with it, message for message.
 
 
 def reference_parse_edgelist(text):
