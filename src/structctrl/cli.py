@@ -16,6 +16,7 @@ import math
 import statistics
 import sys
 import time
+import warnings
 
 from . import __version__
 from .fileio import (
@@ -128,7 +129,7 @@ def _design_report(args, dual: bool) -> int:
     partitions = natural_partitions(g, summary)
     truncated = False
     if args.all:
-        enum = enumerate_configurations(g, summary, partitions, limit=args.limit)
+        enum = enumerate_configurations(g, summary, limit=args.limit)
         configs = sorted(enum.configurations, key=lambda c: c.sorted_states())
         truncated = enum.truncated
     else:
@@ -381,15 +382,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run_cli(argv=None) -> int:
-    """Parse arguments and run one subcommand; returns the exit status."""
+    """Parse arguments and run one subcommand; returns the exit status.
+
+    Library warnings print as one ``warning: <message>`` line each, on
+    every call.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (PatternFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,9 +29,10 @@ m + 1 witness calls per root set, plus one oracle call per placement.
 
 ``min_dedicated_inputs`` finds its witness by Hopcroft-Karp seeded with a
 Karp-Sipser start over the digraph's shared successor and predecessor
-lists, absorbs the source SCCs once and keeps the absorbed matching; the
-default placement is the first completion the enumeration lists for its
-roots.
+lists, absorbs the source SCCs once, and keeps both the witness and the
+absorbed matching as match arrays; the partitions read the witness, and
+the default placement is the first completion the enumeration lists for
+the absorbed matching's roots.
 """
 
 from __future__ import annotations
@@ -50,25 +51,28 @@ from .graph_core import (
     pattern_of,
     strongly_connected_components,
 )
-from .matching import Matching, karp_sipser, matching_from_pairs, solve_matching
+from .matching import Matching, karp_sipser, solve_matching
 
 
 @dataclass(frozen=True)
 class PlacementSummary:
     """Result of the fast placement analysis.
 
-    ``assignable_vertices`` are the right-unmatched vertices an optimal
-    matching parks inside source SCCs; ``assignment_edges`` pairs each of
-    them (by ascending-index slot) with the source-SCC ids it can serve.
-    ``absorbed`` is the witness with its source SCCs absorbed: the real and
-    auxiliary ``match_l`` (auxiliary k is left vertex n + k) and ``match_r``.
+    ``witness`` is the maximum matching the counts were read off, as
+    ``(match_l, match_r)`` with -1 for unmatched; its unmatched rights are
+    the partition slots.  ``assignable_vertices`` are the right-unmatched
+    vertices an optimal matching parks inside source SCCs;
+    ``assignment_edges`` pairs each of them (by ascending-index slot) with
+    the source-SCC ids it can serve.  ``absorbed`` is the witness with its
+    source SCCs absorbed: the real and auxiliary ``match_l`` (auxiliary k is
+    left vertex n + k) and ``match_r``.
     """
 
     m: int
     beta: int
     alpha: int
     p: int
-    witness_matching: Matching
+    witness: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False)
     assignable_vertices: frozenset[int]
     assignment_edges: frozenset[tuple[int, int]]
     condensation: Condensation
@@ -136,23 +140,19 @@ def _avoidable(
     in_lefts: Sequence[Sequence[int]],
     match_l: Sequence[int],
     sources: Sequence[int],
-    banned: frozenset[int] = frozenset(),
 ) -> set[int]:
     """``sources`` plus every right they can hand their freedom to.
 
     ``match_l`` must describe a maximum matching that leaves ``sources``
     unmatched.  BFS over exchange steps: a left vertex matched to r'' and
-    adjacent to a freeable r' can release r''.  Every step lands on a
-    matched right, so the other unmatched rights are never reached.
-    Banned rights have no in-edges in the restricted graph, so nothing
-    propagates out of them.
+    adjacent to a freeable r' can release r''.  Every step lands on a right
+    that a real left vertex matches, so the other unmatched rights are
+    never reached.
     """
     seen = set(sources)
     queue = deque(sorted(seen))
     while queue:
         r = queue.popleft()
-        if banned and r in banned:
-            continue
         for l in in_lefts[r]:
             nxt = match_l[l]
             if nxt != -1 and nxt not in seen:
@@ -187,26 +187,20 @@ def _roots(match_r: Sequence[int], n: int) -> list[int]:
     return [r for r in range(n) if not 0 <= match_r[r] < n]
 
 
-def _matching_to_arrays(m: Matching, n: int) -> tuple[list[int], list[int]]:
-    ml = [-1] * n
-    mr = [-1] * n
-    for l, r in m.pairs:
-        ml[l] = r
-        mr[r] = l
-    return ml, mr
-
-
 def _validate_witness(g: SystemDigraph, m: Matching) -> tuple[list[int], list[int], int]:
+    """Match arrays of a caller's matching, checked to be a maximum one."""
     adj = g.successors()
+    ml = [-1] * g.n
+    mr = [-1] * g.n
     for l, r in m.pairs:
         if not (0 <= l < g.n and r in adj[l]):
             raise ValueError(f"witness matching edge ({l}, {r}) is not a digraph edge")
-    ml, mr = _matching_to_arrays(m, g.n)
-    before = m.size
+        ml[l] = r
+        mr[r] = l
     _, _, after = solve_matching(adj, g.n, list(ml), list(mr))
-    if after != before:
+    if after != m.size:
         raise ValueError("witness matching is not maximum")
-    return ml, mr, before
+    return ml, mr, m.size
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +225,9 @@ def min_dedicated_inputs(
     adj = g.successors()
     if matching is None:
         ml, mr, size = solve_matching(adj, g.n, *karp_sipser(adj, g.predecessors()))
-        witness = matching_from_pairs(
-            ((l, r) for l, r in enumerate(ml) if r != -1), g.n
-        )
     else:
         ml, mr, size = _validate_witness(g, matching)
-        witness = matching_from_pairs(matching.pairs, g.n)
+    witness = (tuple(ml), tuple(mr))  # copied before absorption changes mr
 
     m = g.n - size
     cond = strongly_connected_components(g)
@@ -253,13 +244,11 @@ def min_dedicated_inputs(
     if assignable:
         # Slot i keeps its own SCC; any SCC with a vertex that can join the
         # whole assignable set in one maximum matching is open to every slot.
-        avoid = _avoidable(g.predecessors(), ml, basis, banned=frozenset(assignable))
-        assignable_set = set(assignable)
-        ext = {
-            cond.scc_of[w]
-            for w in avoid
-            if w not in assignable_set and cond.scc_of[w] in source_set
-        }
+        # Those vertices are the ones the other roots can hand their freedom
+        # to, and no exchange step lands on an assignable root.
+        others = [v for v in basis if cond.scc_of[v] not in source_set]
+        avoid = _avoidable(g.predecessors(), ml, others)
+        ext = {cond.scc_of[w] for w in avoid} & source_set
         for i, v in enumerate(assignable):
             edges.add((i, cond.scc_of[v]))
             for j in ext:
@@ -277,7 +266,7 @@ def min_dedicated_inputs(
         beta=cond.beta,
         alpha=alpha,
         p=p,
-        witness_matching=witness,
+        witness=witness,
         assignable_vertices=frozenset(assignable),
         assignment_edges=frozenset(edges),
         condensation=cond,
@@ -307,18 +296,16 @@ def max_assignability_index(
 def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> PartitionSet:
     """Per-slot candidate sets relative to the summary's witness matching.
 
-    For slot j of a right-unmatched vertex v_j: every state x such that
-    swapping v_j for x (keeping the other unmatched vertices pinned) still
-    admits a maximum matching.  That is v_j plus its exchange closure under
-    the witness, one BFS from v_j alone.  The remaining p - m slots share
-    the union of the source-SCC vertex sets.
+    Slot j belongs to the j-th right-unmatched vertex v_j of the witness, in
+    ascending order, and holds every state x such that swapping v_j for x
+    (keeping the other unmatched vertices pinned) still admits a maximum
+    matching.  That is v_j plus its exchange closure under the witness, one
+    BFS from v_j alone.  The remaining p - m slots share the union of the
+    source-SCC vertex sets.
     """
     in_lefts = g.predecessors()
-    ml, _ = _matching_to_arrays(summary.witness_matching, g.n)
-    thetas = [
-        frozenset(_avoidable(in_lefts, ml, [vj]))
-        for vj in summary.witness_matching.right_unmatched
-    ]
+    ml, mr = summary.witness
+    thetas = [frozenset(_avoidable(in_lefts, ml, [vj])) for vj in _roots(mr, g.n)]
     cond = summary.condensation
     union_sources = frozenset(
         v for j in cond.non_top_linked for v in cond.scc_members[j]
@@ -440,7 +427,6 @@ def _child_witness(
 def enumerate_configurations(
     g: SystemDigraph,
     summary: PlacementSummary,
-    partitions: PartitionSet | None,
     limit: int = 10_000,
 ) -> EnumerationResult:
     """All minimum placements as sets, up to ``limit``.
@@ -456,8 +442,7 @@ def enumerate_configurations(
     polynomial delay: at most m + 1 witness calls per root set, plus one
     oracle call per placement.  Repeated placements are dropped.
 
-    ``partitions`` is not used and may be None.  The oracle is a safety
-    net; the rejection counter should stay at zero.
+    The oracle is a safety net; the rejection counter should stay at zero.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -536,7 +521,7 @@ def design_inputs(pattern: StructPattern, limit: int = 10_000) -> PlacementDesig
     """Full input-design pipeline on a square state pattern."""
     g = build_digraph(pattern)
     summary = min_dedicated_inputs(g)
-    enumeration = enumerate_configurations(g, summary, None, limit=limit)
+    enumeration = enumerate_configurations(g, summary, limit=limit)
     return PlacementDesign(summary, enumeration)
 
 

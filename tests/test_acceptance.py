@@ -63,7 +63,7 @@ def test_criterion_2_worked_example_partitions_and_configurations():
         frozenset({4, 5}),        # alternatives for slot of vertex 6
         frozenset({0, 1}),        # source-SCC coverage slot
     )
-    enum = enumerate_configurations(g, s, parts, limit=100)
+    enum = enumerate_configurations(g, s, limit=100)
     assert enum.state_sets() == {frozenset({0, 1, 4}), frozenset({0, 1, 5})}
     assert not enum.truncated
     # canonical input patterns, entry for entry (one-based (1,1),(2,2),(5,3) / (6,3))
@@ -77,9 +77,7 @@ def test_criterion_2_worked_example_partitions_and_configurations():
         assert b.nonzeros == mats[config.states]
     # the same two configurations fall out without the textbook witness
     s_default = min_dedicated_inputs(g)
-    enum_default = enumerate_configurations(
-        g, s_default, natural_partitions(g, s_default), limit=100
-    )
+    enum_default = enumerate_configurations(g, s_default, limit=100)
     assert enum_default.state_sets() == enum.state_sets()
     _report(2, "partition sets and both configurations match exactly")
 
@@ -112,7 +110,7 @@ def test_criterion_4_configuration_sets_equal_brute_force():
         a = random_pattern(rng, n, rng.uniform(0.05, 1.0))
         g = build_digraph(a)
         s = min_dedicated_inputs(g)
-        enum = enumerate_configurations(g, s, natural_partitions(g, s), limit=10**6)
+        enum = enumerate_configurations(g, s, limit=10**6)
         k, subsets = brute_force_minimum(a)
         assert s.p == k
         assert not enum.truncated

@@ -369,6 +369,29 @@ def test_cli_analyze_text(sync6_file, capsys):
     assert "m=2 beta=2 alpha=1 p=3" in out
 
 
+def test_cli_prints_library_warnings_as_one_line(tmp_path, capsys):
+    # Every call shows the warning, without the library's file and source
+    # line; the report is the one the file without the repeat gives.
+    clean = tmp_path / "clean.el"
+    clean.write_text("n 3\n1 2\n2 3\n")
+    dup = tmp_path / "dup.el"
+    dup.write_text("n 3\n1 2\n1 2\n2 3\n")
+    assert run_cli(["analyze", str(clean)]) == 0
+    expected = capsys.readouterr().out
+    for _ in range(2):
+        assert run_cli(["analyze", str(dup)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 1 duplicate edgelist entry ignored\n"
+        assert captured.out == expected
+    # Both files of one call warn from the same line of the library.
+    b = tmp_path / "b.el"
+    b.write_text("shape 3 1\n3 1\n3 1\n")
+    assert run_cli(["verify", str(dup), str(b)]) == 0
+    assert capsys.readouterr().err == "warning: 1 duplicate edgelist entry ignored\n" * 2
+    with pytest.warns(UserWarning, match="1 duplicate edgelist entry ignored"):
+        parse_pattern(dup)
+
+
 def test_cli_analyze_json_schema(sync6_file, capsys):
     assert run_cli(["analyze", str(sync6_file), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

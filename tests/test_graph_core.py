@@ -221,7 +221,7 @@ def test_adjacency_is_built_once_and_never_mutated():
         assert g.successors() == succ and g.predecessors() == pred
         summary = min_dedicated_inputs(g)
         config = generate_configuration(g, summary)
-        enumerate_configurations(g, summary, None, limit=50)
+        enumerate_configurations(g, summary, limit=50)
         is_structurally_controllable(pattern_of(g), emit_input_matrix(config, g.n))
         assert g.successors() == succ and g.predecessors() == pred
 

@@ -28,6 +28,7 @@ from brute import (
     all_maximum_matchings,
     all_unmatched_sets,
     brute_alpha,
+    brute_max_matching_size,
     random_pattern,
     random_strongly_connected_pattern,
 )
@@ -186,7 +187,7 @@ def test_partition_membership_matches_exhaustive_swaps():
         s = min_dedicated_inputs(g)
         parts = natural_partitions(g, s)
         unmatched_sets = all_unmatched_sets(bg)
-        slots = s.witness_matching.right_unmatched
+        slots = tuple(r for r, l in enumerate(s.witness[1]) if l == -1)
         for j, vj in enumerate(slots):
             pinned = frozenset(slots) - {vj}
             for x in range(g.n):
@@ -200,7 +201,34 @@ def test_partition_membership_matches_exhaustive_swaps():
                     for row in bg.left_adjacency()
                 ]
                 _, _, forced = solve_matching(rows, g.n)
-                assert (forced == s.witness_matching.size) == swapped_ok
+                assert (forced == sum(r != -1 for r in s.witness[0])) == swapped_ok
+
+
+def test_witness_is_the_matching_the_counts_were_read_off():
+    # A given maximum matching is kept as the witness unchanged, and its
+    # unmatched states are the partition slots, in ascending order; without
+    # one, the witness is a maximum matching of size n - m.
+    rng = random.Random(1010)
+    for _ in range(40):
+        g = build_digraph(random_pattern(rng, rng.randint(1, 5), rng.random()))
+        bg = to_state_bipartite(g)
+        for pairs in all_maximum_matchings(bg):
+            m = matching_from_pairs(pairs, g.n)
+            s = min_dedicated_inputs(g, matching=m)
+            ml, mr = s.witness
+            assert len(ml) == len(mr) == g.n
+            assert {(l, r) for l, r in enumerate(ml) if r != -1} == m.pairs
+            assert {(l, r) for r, l in enumerate(mr) if l != -1} == m.pairs
+            parts = natural_partitions(g, s)
+            assert parts.split == len(m.right_unmatched)
+            for vj, theta in zip(m.right_unmatched, parts.thetas):
+                assert theta & set(m.right_unmatched) == {vj}
+        s = min_dedicated_inputs(g)
+        ml, mr = s.witness
+        pairs = {(l, r) for l, r in enumerate(ml) if r != -1}
+        assert pairs == {(l, r) for r, l in enumerate(mr) if l != -1}
+        assert pairs <= bg.edges
+        assert len(pairs) == g.n - s.m == brute_max_matching_size(bg)
 
 
 def test_generate_worked_example_lowest_index(sync6_graph, sync6_witness):
@@ -230,9 +258,9 @@ def test_generate_is_the_first_enumerated_placement():
         g = build_digraph(random_pattern(rng, rng.randint(1, 7), rng.random()))
         s = min_dedicated_inputs(g)
         config = generate_configuration(g, s)
-        first = enumerate_configurations(g, s, None, limit=1).configurations[0]
+        first = enumerate_configurations(g, s, limit=1).configurations[0]
         assert config.states == first.states
-        full = enumerate_configurations(g, s, None)
+        full = enumerate_configurations(g, s)
         assert not full.truncated
         assert config.states in full.state_sets()
 
@@ -251,7 +279,7 @@ def test_generate_runs_no_matching(sync6_graph, sync6_witness, monkeypatch):
 
 def test_enumerate_worked_example(sync6_graph):
     s = min_dedicated_inputs(sync6_graph)
-    enum = enumerate_configurations(sync6_graph, s, natural_partitions(sync6_graph, s), limit=100)
+    enum = enumerate_configurations(sync6_graph, s, limit=100)
     assert enum.state_sets() == {frozenset({0, 1, 4}), frozenset({0, 1, 5})}
     assert not enum.truncated
     assert enum.oracle_rejections == 0
@@ -260,25 +288,24 @@ def test_enumerate_worked_example(sync6_graph):
 def test_enumerate_single_self_loop():
     g = build_digraph(SELF_LOOP)
     s = min_dedicated_inputs(g)
-    enum = enumerate_configurations(g, s, natural_partitions(g, s))
+    enum = enumerate_configurations(g, s)
     assert enum.state_sets() == {frozenset({0})}
 
 
 def test_enumerate_star():
     g = build_digraph(STAR)
     s = min_dedicated_inputs(g)
-    enum = enumerate_configurations(g, s, natural_partitions(g, s))
+    enum = enumerate_configurations(g, s)
     assert enum.state_sets() == {frozenset({0, 1}), frozenset({0, 2})}
 
 
 def test_enumerate_limit_flag(sync6_graph):
     s = min_dedicated_inputs(sync6_graph)
-    parts = natural_partitions(sync6_graph, s)
-    enum = enumerate_configurations(sync6_graph, s, parts, limit=1)
+    enum = enumerate_configurations(sync6_graph, s, limit=1)
     assert len(enum) == 1
     assert enum.truncated
     with pytest.raises(ValueError):
-        enumerate_configurations(sync6_graph, s, parts, limit=0)
+        enumerate_configurations(sync6_graph, s, limit=0)
 
 
 def test_emit_input_matrix_goldens():
@@ -310,7 +337,7 @@ def test_enumeration_matches_brute_force_random():
         a = random_pattern(rng, rng.randint(1, 5), rng.random())
         g = build_digraph(a)
         s = min_dedicated_inputs(g)
-        enum = enumerate_configurations(g, s, natural_partitions(g, s), limit=100000)
+        enum = enumerate_configurations(g, s, limit=100000)
         k, subsets = brute_force_minimum(a)
         assert s.p == k
         assert enum.state_sets() == set(subsets)
@@ -324,13 +351,11 @@ def test_pipeline_is_witness_independent():
         g = build_digraph(a)
         bg = to_state_bipartite(g)
         base = min_dedicated_inputs(g)
-        truth = enumerate_configurations(
-            g, base, natural_partitions(g, base), limit=100000
-        ).state_sets()
+        truth = enumerate_configurations(g, base, limit=100000).state_sets()
         for pairs in all_maximum_matchings(bg):
             s = min_dedicated_inputs(g, matching=matching_from_pairs(pairs, g.n))
             assert (s.m, s.beta, s.alpha, s.p) == (base.m, base.beta, base.alpha, base.p)
-            enum = enumerate_configurations(g, s, natural_partitions(g, s), limit=100000)
+            enum = enumerate_configurations(g, s, limit=100000)
             assert enum.state_sets() == truth
 
 
