@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: analyze, design-inputs, design-outputs, enumerate, verify,
-gen, bench.  Reports print as text by default or as a versioned JSON
-document with ``--format json``.  All vertex indices in files and reports
+gen, bench.  Reports print as text by default or, with ``--format json``,
+as a versioned JSON document on one compact line (sorted keys, no
+indentation, so that the C encoder writes it); each command builds only
+the output it prints.  The argument parser is built once per process and
+reused by every ``run_cli`` call.  All vertex indices in files and reports
 are one-based; exit codes: 0 success, 1 verify found the pair
 uncontrollable, 2 bad input or usage, 3 internal error (a broken
 invariant, reported on stderr as ``internal error: ...``).
@@ -11,6 +14,7 @@ invariant, reported on stderr as ``internal error: ...``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -77,12 +81,9 @@ def _summary_dict(summary) -> dict:
     }
 
 
-def _print_report(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _print_json(report: dict) -> None:
+    # Any ``indent`` sends json.dumps to its pure-Python encoder.
+    print(json.dumps(report, sort_keys=True))
 
 
 def _summary_line(summary) -> str:
@@ -96,7 +97,12 @@ def _cmd_analyze(args) -> int:
     g = build_digraph(pattern)
     summary = min_dedicated_inputs(g)
     t2 = time.perf_counter()
-    report = {
+    if args.format == "text":
+        print(f"instance: n={pattern.n_rows} edges={pattern.nnz} "
+              f"sccs={summary.condensation.n_sccs}")
+        print(_summary_line(summary))
+        return 0
+    _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
         "instance": _instance_dict(pattern, summary.condensation),
@@ -105,13 +111,7 @@ def _cmd_analyze(args) -> int:
             "parse": round(1000 * (t1 - t0), 3),
             "analyze": round(1000 * (t2 - t1), 3),
         },
-    }
-    text = [
-        f"instance: n={pattern.n_rows} edges={pattern.nnz} "
-        f"sccs={summary.condensation.n_sccs}",
-        _summary_line(summary),
-    ]
-    _print_report(report, args.format, text)
+    })
     return 0
 
 
@@ -136,6 +136,28 @@ def _design_report(args, dual: bool) -> int:
         configs = [generate_configuration(g, summary)]
     t2 = time.perf_counter()
 
+    if truncated:
+        print(
+            f"warning: configuration list truncated at limit={args.limit}",
+            file=sys.stderr,
+        )
+    emit_flag = args.emit_b if not dual else args.emit_c
+    emit = emit_output_matrix if dual else emit_input_matrix
+    matrices = [emit(c, pattern.n_rows) for c in configs] if emit_flag else []
+    if args.format == "text":
+        print(_summary_line(summary))
+        for c in configs:
+            print("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
+        if truncated:
+            print(f"truncated: true (limit={args.limit})")
+        name = "C" if dual else "B"
+        for mat in matrices:
+            print(f"{name} pattern ({mat.n_rows}x{mat.n_cols}): " + " ".join(
+                f"({i},{j})" for i, j in sorted(
+                    (i + 1, j + 1) for i, j in mat.nonzeros
+                )
+            ))
+        return 0
     kind = "outputs" if dual else "inputs"
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -150,33 +172,9 @@ def _design_report(args, dual: bool) -> int:
             "design": round(1000 * (t2 - t1), 3),
         },
     }
-    text = [_summary_line(summary)]
-    for c in configs:
-        text.append("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
-    if truncated:
-        print(
-            f"warning: configuration list truncated at limit={args.limit}",
-            file=sys.stderr,
-        )
-        text.append(f"truncated: true (limit={args.limit})")
-    emit_flag = args.emit_b if not dual else args.emit_c
     if emit_flag:
-        matrices = []
-        for c in configs:
-            mat = (
-                emit_output_matrix(c, pattern.n_rows)
-                if dual
-                else emit_input_matrix(c, pattern.n_rows)
-            )
-            matrices.append(_pattern_dict(mat))
-            name = "C" if dual else "B"
-            text.append(f"{name} pattern ({mat.n_rows}x{mat.n_cols}): " + " ".join(
-                f"({i},{j})" for i, j in sorted(
-                    (i + 1, j + 1) for i, j in mat.nonzeros
-                )
-            ))
-        report["matrices"] = matrices
-    _print_report(report, args.format, text)
+        report["matrices"] = [_pattern_dict(mat) for mat in matrices]
+    _print_json(report)
     return 0
 
 
@@ -192,21 +190,22 @@ def _cmd_enumerate(args) -> int:
     pattern = parse_pattern(args.file, args.input_format)
     design = design_inputs(pattern, limit=args.limit)
     summary, enum = design.summary, design.enumeration
-    report = {
+    if args.format == "text":
+        print(_summary_line(summary))
+        for c in sorted(enum, key=lambda c: c.sorted_states()):
+            print("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
+        print(f"count: {len(enum)}")
+        if enum.truncated:
+            print(f"truncated: true (limit={args.limit})")
+        return 0
+    _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
         "instance": _instance_dict(pattern, summary.condensation),
         "summary": _summary_dict(summary),
         "configurations": sorted(_one_based(c.states) for c in enum),
         "truncated": enum.truncated,
-    }
-    text = [_summary_line(summary)]
-    for c in sorted(enum, key=lambda c: c.sorted_states()):
-        text.append("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
-    text.append(f"count: {len(enum)}")
-    if enum.truncated:
-        text.append(f"truncated: true (limit={args.limit})")
-    _print_report(report, args.format, text)
+    })
     return 0
 
 
@@ -221,22 +220,21 @@ def _cmd_verify(args) -> int:
         )
     b = parse_pattern(args.b_file, args.input_format)
     verdict = is_structurally_controllable(a, b, trials=args.trials, seed=args.seed)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "controllable": verdict.controllable,
-        "accessibility_ok": verdict.accessibility_ok,
-        "dilation_free": verdict.dilation_free,
-        "numeric_rank": verdict.numeric_rank,
-    }
-    text = [
-        f"controllable: {str(verdict.controllable).lower()}",
-        f"accessibility: {str(verdict.accessibility_ok).lower()}",
-        f"dilation-free: {str(verdict.dilation_free).lower()}",
-    ]
-    if verdict.numeric_rank is not None:
-        text.append(f"numeric rank: {verdict.numeric_rank} / {a.n_rows}")
-    _print_report(report, args.format, text)
+    if args.format == "text":
+        print(f"controllable: {str(verdict.controllable).lower()}")
+        print(f"accessibility: {str(verdict.accessibility_ok).lower()}")
+        print(f"dilation-free: {str(verdict.dilation_free).lower()}")
+        if verdict.numeric_rank is not None:
+            print(f"numeric rank: {verdict.numeric_rank} / {a.n_rows}")
+    else:
+        _print_json({
+            "schema_version": SCHEMA_VERSION,
+            "command": "verify",
+            "controllable": verdict.controllable,
+            "accessibility_ok": verdict.accessibility_ok,
+            "dilation_free": verdict.dilation_free,
+            "numeric_rank": verdict.numeric_rank,
+        })
     return 0 if verdict.controllable else 1
 
 
@@ -289,22 +287,23 @@ def _cmd_bench(args) -> int:
         xs = [math.log10(r["n"]) for r in rows]
         ys = [math.log10(max(r["seconds"], 1e-9)) for r in rows]
         exponent = round(statistics.linear_regression(xs, ys).slope, 3)
-    report = {
+    if args.format == "text":
+        print(f"{'n':>8} {'edges':>9} {'seconds':>9}  m/beta/alpha/p")
+        for r in rows:
+            print(
+                f"{r['n']:>8} {r['edges']:>9} {r['seconds']:>9.4f}  "
+                f"{r['m']}/{r['beta']}/{r['alpha']}/{r['p']}"
+            )
+        if exponent is not None:
+            print(f"fitted runtime exponent vs n: {exponent}")
+        return 0
+    _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
         "average_degree": args.degree,
         "runs": rows,
         "fitted_exponent": exponent,
-    }
-    text = [f"{'n':>8} {'edges':>9} {'seconds':>9}  m/beta/alpha/p"]
-    for r in rows:
-        text.append(
-            f"{r['n']:>8} {r['edges']:>9} {r['seconds']:>9.4f}  "
-            f"{r['m']}/{r['beta']}/{r['alpha']}/{r['p']}"
-        )
-    if exponent is not None:
-        text.append(f"fitted runtime exponent vs n: {exponent}")
-    _print_report(report, args.format, text)
+    })
     return 0
 
 
@@ -382,6 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -392,9 +397,8 @@ def run_cli(argv=None) -> int:
     Library warnings print as one ``warning: <message>`` line each, on
     every call.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -62,8 +62,19 @@ def detect_format(path: str | Path, text: str | None = None) -> str:
 
 
 def parse_pattern(path: str | Path, fmt: str | None = None) -> StructPattern:
-    """Read a pattern file; ``fmt`` overrides extension-based detection."""
-    text = Path(path).read_text()
+    """Read a UTF-8 pattern file; ``fmt`` overrides extension-based detection."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # ``read_text`` decodes the whole file in one call, so ``exc.object``
+        # holds every byte and the bytes before ``exc.start`` decode cleanly;
+        # their lines are numbered as the parsers number lines.
+        before = exc.object[:exc.start].decode("utf-8")
+        line_no = len((before + "_").splitlines())
+        bad = exc.object[exc.start]
+        raise PatternFormatError(
+            f"line {line_no}: byte 0x{bad:02x} is not UTF-8 ({exc.reason})"
+        ) from None
     if fmt is None:
         fmt = detect_format(path, text)
     if fmt not in FORMATS:
@@ -89,10 +100,13 @@ def _entry_set(rows: list[int], cols: list[int], what: str) -> frozenset[tuple[i
 
 
 def _parse_edgelist(text: str) -> StructPattern:
-    # Each entry token already read maps to its shared zero-based index, so a
-    # line of two known tokens needs neither the checks nor int(); any other
-    # line takes the full checks below.  The range check waits for the last
-    # size directive, and only a failing check rescans the text for its line.
+    # An ASCII line of two entry tokens takes the fast path: a token already
+    # read maps to its shared zero-based index, and a token seen for the first
+    # time that is all digits and not all zeros is read with int() and
+    # mapped.  Only when both tokens pass is any int() called, so every other
+    # line reaches the full checks below unchanged, with the same messages.
+    # The range check waits for the last size directive, and only a failing
+    # check rescans the text for its line.
     index: dict[str, int] = {}
     share = {}.setdefault
     rows: list[int] = []
@@ -102,8 +116,19 @@ def _parse_edgelist(text: str) -> StructPattern:
         line = raw.split("#", 1)[0] if "#" in raw else raw
         parts = line.split()
         if len(parts) == 2 and line.isascii():
-            i = index.get(parts[0])
-            j = index.get(parts[1])
+            a, b = parts
+            i = index.get(a)
+            j = index.get(b)
+            if (i is None or j is None) and (
+                (i is not None or a.isdigit() and a.strip("0"))
+                and (j is not None or b.isdigit() and b.strip("0"))
+            ):
+                if i is None:
+                    v = int(a) - 1
+                    i = index[a] = share(v, v)
+                if j is None:
+                    v = int(b) - 1
+                    j = index[b] = share(v, v)
             if i is not None and j is not None:
                 rows.append(i)
                 cols.append(j)

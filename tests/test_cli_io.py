@@ -154,6 +154,15 @@ EDGELIST_CASES = {
     "hull limit": (OVERSIZED["hull.el"][0], "line 2: dimension 10000001 exceeds"),
     "one duplicate": ("2 1\n2 1\n", "1 duplicate edgelist entry ignored"),
     "three duplicates": ("1 1\n1 1\n2 2\n1 1\n01 1\n", "3 duplicate edgelist entries ignored"),
+    # Lines whose tokens are seen for the first time.
+    "first-seen zero index": ("n 3\n0 1\n", "line 2: indices are one-based, got (0, 1)"),
+    "first-seen zeros index": ("n 3\n00 1\n", "line 2: indices are one-based, got (0, 1)"),
+    "first-seen letter": ("n 3\n2 x\n", "line 2: indices must be ASCII digits"),
+    "first-seen padded duplicate": ("1 1\n001 1\n", "1 duplicate edgelist entry ignored"),
+    "first-seen with comment": ("n 3\n1 1 # c\n2 3\n", None),
+    # int() refuses over 4300 digits on recent Pythons; the letter must be named first.
+    "first-seen long token before a letter": ("n 3\n" + "1" * 5000 + " x\n",
+                                              "line 2: indices must be ASCII digits"),
 }
 
 
@@ -526,6 +535,68 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     expected, _ = gen_random(6, "erdos", seed=42, p_edge=0.3)
     assert p == expected
     assert "# gen model=erdos" in out_file.read_text()
+
+
+def test_cli_reuses_one_parser(sync6_file, monkeypatch, capsys):
+    assert run_cli(["analyze", str(sync6_file), "--format", "json"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(["analyze"]) == 2
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr().out == f"structctrl {structctrl.__version__}\n"
+        assert run_cli(["analyze", str(sync6_file), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    for r in (report, expected):
+        r.pop("timings_ms")
+    assert report == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "A"],
+        ["design-inputs", "A", "--all", "--emit-b"],
+        ["design-outputs", "A", "--all", "--emit-c"],
+        ["enumerate", "A"],
+        ["verify", "A", "B"],
+        ["bench", "--sizes", "30,60"],
+    ],
+)
+def test_cli_json_report_is_one_compact_line(sync6_file, tmp_path, capsys, argv):
+    b = tmp_path / "b.el"
+    b.write_text("shape 6 3\n1 1\n2 2\n5 3\n")
+    files = {"A": str(sync6_file), "B": str(b)}
+    assert run_cli([files.get(a, a) for a in argv] + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.dumps(json.loads(out), sort_keys=True) == out[:-1]
+
+
+def test_cli_names_the_line_of_bytes_that_are_not_utf8(sync6_file, tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"n 3\n1 1\n2 \xff\n")
+    assert run_cli(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    b = tmp_path / "b.el"
+    b.write_bytes(b"# \xc3\xa9 is fine\nshape 6 3\n1 1\n\r\n5 \xe9\n")
+    assert run_cli(["verify", str(sync6_file), str(b)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    )
 
 
 def test_cli_unknown_flag_exits_2(sync6_file, capsys):
