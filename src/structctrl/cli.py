@@ -126,7 +126,8 @@ def _design_report(args, dual: bool) -> int:
     work_pattern = pattern.transpose() if dual else pattern
     g = build_digraph(work_pattern)
     summary = min_dedicated_inputs(g)
-    partitions = natural_partitions(g, summary)
+    # Only the JSON report holds the partitions, O(m*E) to compute.
+    partitions = natural_partitions(g, summary) if args.format == "json" else None
     truncated = False
     if args.all:
         enum = enumerate_configurations(g, summary, limit=args.limit)

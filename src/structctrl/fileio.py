@@ -67,8 +67,9 @@ def parse_pattern(path: str | Path, fmt: str | None = None) -> StructPattern:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # ``read_text`` decodes the whole file in one call, so ``exc.object``
-        # holds every byte and the bytes before ``exc.start`` decode cleanly;
-        # their lines are numbered as the parsers number lines.
+        # holds every byte and the bytes before ``exc.start`` decode cleanly.
+        # Lines are counted as the parsers count them; the appended character
+        # starts the bad byte's line when a line break comes just before it.
         before = exc.object[:exc.start].decode("utf-8")
         line_no = len((before + "_").splitlines())
         bad = exc.object[exc.start]

@@ -584,6 +584,23 @@ def test_cli_json_report_is_one_compact_line(sync6_file, tmp_path, capsys, argv)
     assert json.dumps(json.loads(out), sort_keys=True) == out[:-1]
 
 
+def test_cli_text_design_skips_the_json_only_partitions(sync6_file, monkeypatch, capsys):
+    calls = []
+
+    def counted(g, summary):
+        calls.append(1)
+        return natural_partitions(g, summary)
+
+    natural_partitions = cli.natural_partitions
+    monkeypatch.setattr(cli, "natural_partitions", counted)
+    assert run_cli(["design-inputs", str(sync6_file)]) == 0
+    assert capsys.readouterr().out == "m=2 beta=2 alpha=1 p=3\nconfiguration: 1 2 6\n"
+    assert calls == []
+    assert run_cli(["design-outputs", str(sync6_file), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["partitions"]
+    assert calls == [1]
+
+
 def test_cli_names_the_line_of_bytes_that_are_not_utf8(sync6_file, tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_bytes(b"n 3\n1 1\n2 \xff\n")
