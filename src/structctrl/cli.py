@@ -71,13 +71,19 @@ def _instance_dict(pattern: StructPattern, cond) -> dict:
 
 
 def _summary_dict(summary) -> dict:
+    # Schema v1 lists the assignment graph edge by edge, expanded here until
+    # ROADMAP item 3: slot i, the i-th smallest assignable vertex, serves its
+    # own source SCC and every open one.
+    scc_of = summary.condensation.scc_of
+    slots = enumerate(sorted(summary.assignable_vertices))
+    edges = {(i, j) for i, v in slots for j in (scc_of[v], *summary.open_sccs)}
     return {
         "m": summary.m,
         "beta": summary.beta,
         "alpha": summary.alpha,
         "p": summary.p,
         "assignable_vertices": _one_based(summary.assignable_vertices),
-        "assignment_edges": sorted([i + 1, j + 1] for i, j in summary.assignment_edges),
+        "assignment_edges": sorted([i + 1, j + 1] for i, j in edges),
     }
 
 
@@ -177,14 +183,6 @@ def _design_report(args, dual: bool) -> int:
         report["matrices"] = [_pattern_dict(mat) for mat in matrices]
     _print_json(report)
     return 0
-
-
-def _cmd_design_inputs(args) -> int:
-    return _design_report(args, dual=False)
-
-
-def _cmd_design_outputs(args) -> int:
-    return _design_report(args, dual=True)
 
 
 def _cmd_enumerate(args) -> int:
@@ -335,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="list every minimal configuration")
     p.add_argument("--emit-b", action="store_true", help="print the canonical input patterns")
     common(p, with_limit=True)
-    p.set_defaults(func=_cmd_design_inputs)
+    p.set_defaults(func=functools.partial(_design_report, dual=False))
 
     p = sub.add_parser("design-outputs", help="place a minimum set of dedicated outputs")
     p.add_argument("file")
     p.add_argument("--all", action="store_true")
     p.add_argument("--emit-c", action="store_true", help="print the canonical output patterns")
     common(p, with_limit=True)
-    p.set_defaults(func=_cmd_design_outputs)
+    p.set_defaults(func=functools.partial(_design_report, dual=True))
 
     p = sub.add_parser("enumerate", help="list minimal input configurations")
     p.add_argument("file")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -34,6 +35,7 @@ FORMATS = ("edgelist", "pattern-json", "mtx-pattern")
 # state (128.9 MB per 10**6 states under tracemalloc, edges not counted),
 # so larger inputs are refused before anything is allocated.
 MAX_STATES = 10_000_000
+_DIGITS = len(str(MAX_STATES))
 
 _EXTENSIONS = {
     ".el": "edgelist",
@@ -103,9 +105,9 @@ def _entry_set(rows: list[int], cols: list[int], what: str) -> frozenset[tuple[i
 def _parse_edgelist(text: str) -> StructPattern:
     # An ASCII line of two entry tokens takes the fast path: a token already
     # read maps to its shared zero-based index, and a token seen for the first
-    # time that is all digits and not all zeros is read with int() and
-    # mapped.  Only when both tokens pass is any int() called, so every other
-    # line reaches the full checks below unchanged, with the same messages.
+    # time that is all digits, not all zeros and at most _DIGITS long is read
+    # with int() and mapped.  Only when both tokens pass is any int() called,
+    # so every other line reaches the full checks below, with their messages.
     # The range check waits for the last size directive, and only a failing
     # check rescans the text for its line.
     index: dict[str, int] = {}
@@ -121,8 +123,8 @@ def _parse_edgelist(text: str) -> StructPattern:
             i = index.get(a)
             j = index.get(b)
             if (i is None or j is None) and (
-                (i is not None or a.isdigit() and a.strip("0"))
-                and (j is not None or b.isdigit() and b.strip("0"))
+                (i is not None or len(a) <= _DIGITS and a.isdigit() and a.strip("0"))
+                and (j is not None or len(b) <= _DIGITS and b.isdigit() and b.strip("0"))
             ):
                 if i is None:
                     v = int(a) - 1
@@ -139,15 +141,15 @@ def _parse_edgelist(text: str) -> StructPattern:
         if parts[0] == "n":
             if len(parts) != 2 or not _is_digits(parts[1]):
                 raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
-            size = _check_size(int(parts[1]), f"line {line_no}")
+            size = _check_size(_read_int(parts[1], line_no), f"line {line_no}")
             declared = (size, size)
             continue
         if parts[0] == "shape":
             if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
                 raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
             declared = (
-                _check_size(int(parts[1]), f"line {line_no}"),
-                _check_size(int(parts[2]), f"line {line_no}"),
+                _check_size(_read_int(parts[1], line_no), f"line {line_no}"),
+                _check_size(_read_int(parts[2], line_no), f"line {line_no}"),
             )
             continue
         if len(parts) != 2:
@@ -155,7 +157,7 @@ def _parse_edgelist(text: str) -> StructPattern:
         a, b = parts
         if not (line.strip().isascii() and a.isdigit() and b.isdigit()):
             raise PatternFormatError(f"line {line_no}: indices must be ASCII digits, got {raw!r}")
-        i, j = int(a), int(b)
+        i, j = _read_int(a, line_no), _read_int(b, line_no)
         if i < 1 or j < 1:
             raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
         for token, value in ((a, i - 1), (b, j - 1)):
@@ -192,7 +194,12 @@ def _edgelist_entries(text: str):
 def _parse_json(text: str) -> StructPattern:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        if not isinstance(exc, json.JSONDecodeError):
+            # An integer past int()'s digit limit: json gives no position for it.
+            run = max(re.finditer(r"\d+", text), key=lambda m: len(m[0]))
+            line_no = text.count("\n", 0, run.start()) + 1
+            exc = f"line {line_no}: integer of {len(run[0])} digits is too long"
         raise PatternFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise PatternFormatError("pattern JSON must be an object")
@@ -245,7 +252,7 @@ def _parse_mtx(text: str) -> StructPattern:
     if symmetry not in ("general", "symmetric"):
         raise PatternFormatError(f"line 1: unsupported symmetry {symmetry!r}")
 
-    dims: tuple[int, int, int] | None = None
+    dims: tuple[int, int, str] | None = None
     size_line = 0
     share = {}.setdefault
     rows: list[int] = []
@@ -259,15 +266,15 @@ def _parse_mtx(text: str) -> StructPattern:
             if len(parts) != 3 or not all(_is_digits(p) for p in parts):
                 raise PatternFormatError(f"line {line_no}: malformed size line {raw!r}")
             dims = (
-                _check_size(int(parts[0]), f"line {line_no}"),
-                _check_size(int(parts[1]), f"line {line_no}"),
-                int(parts[2]),
+                _check_size(_read_int(parts[0], line_no), f"line {line_no}"),
+                _check_size(_read_int(parts[1], line_no), f"line {line_no}"),
+                parts[2].lstrip("0") or "0",  # compared as text: any length is fine
             )
             size_line = line_no
             continue
         if len(parts) < 2 or not _is_digits(parts[0]) or not _is_digits(parts[1]):
             raise PatternFormatError(f"line {line_no}: malformed entry {raw!r}")
-        i, j = int(parts[0]), int(parts[1])  # trailing values ignored
+        i, j = _read_int(parts[0], line_no), _read_int(parts[1], line_no)  # values ignored
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1]):
             raise PatternFormatError(
                 f"line {line_no}: entry ({i}, {j}) outside {dims[0]}x{dims[1]} matrix"
@@ -278,7 +285,7 @@ def _parse_mtx(text: str) -> StructPattern:
         cols.append(share(j, j))
     if dims is None:
         raise PatternFormatError("missing size line")
-    if len(rows) != dims[2]:
+    if str(len(rows)) != dims[2]:
         raise PatternFormatError(
             f"line {size_line}: size line declares {dims[2]} entries, found {len(rows)}"
         )
@@ -295,6 +302,17 @@ def _check_size(value: int, where: str) -> int:
             f"{where}: dimension {value} exceeds the limit of {MAX_STATES} states"
         )
     return value
+
+
+def _read_int(token: str, line_no: int) -> int:
+    """int() of an ASCII-digit token, refused with its line when it has more
+    significant digits than MAX_STATES; past 4 300, int() would refuse it with no line."""
+    digits = token.lstrip("0")
+    if len(digits) > _DIGITS:
+        raise PatternFormatError(
+            f"line {line_no}: dimension {digits} exceeds the limit of {MAX_STATES} states"
+        )
+    return int(token)
 
 
 def _is_digits(token: str) -> bool:

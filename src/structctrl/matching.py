@@ -257,16 +257,11 @@ def _augment(root, adj, match_l, match_r, dist, dist_free, ptr) -> bool:
     return False
 
 
-def _arrays_to_matching(match_l: Sequence[int], match_r: Sequence[int]) -> Matching:
-    pairs = frozenset((l, r) for l, r in enumerate(match_l) if r != -1)
-    unmatched = tuple(r for r, l in enumerate(match_r) if l == -1)
-    return Matching(pairs, unmatched)
-
-
 def maximum_matching(bg: BipartiteGraph) -> Matching:
     """Deterministic maximum matching of ``bg``."""
     ml, mr, _ = solve_matching(bg.left_adjacency(), bg.right_size)
-    return _arrays_to_matching(ml, mr)
+    pairs = frozenset((l, r) for l, r in enumerate(ml) if r != -1)
+    return Matching(pairs, tuple(r for r, l in enumerate(mr) if l == -1))
 
 
 def stem_cycle_decomposition(g: SystemDigraph, m: Matching) -> StemCycleDecomposition:

@@ -17,7 +17,8 @@ SCC adjacent to exactly that SCC's members, and count how many auxiliary
 vertices an optimal matching can absorb.  Each absorbed auxiliary vertex
 marks one right-unmatched vertex parked in a distinct source SCC, and a
 counting argument over augmenting paths shows the count is exactly the
-maximum -- greedy per-vertex probing can undershoot it.
+maximum -- greedy per-vertex probing can undershoot it.  A closed form
+(:func:`max_assignability_index`) checks the count; no second matching runs.
 
 The same machinery characterizes every minimum placement: a state set C of
 size p works if and only if some maximum matching misses exactly C's
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from . import oracle
 from .graph_core import (
@@ -61,9 +62,9 @@ class PlacementSummary:
     ``witness`` is the maximum matching the counts were read off, as
     ``(match_l, match_r)`` with -1 for unmatched; its unmatched rights are
     the partition slots.  ``assignable_vertices`` are the right-unmatched
-    vertices an optimal matching parks inside source SCCs;
-    ``assignment_edges`` pairs each of them (by ascending-index slot) with
-    the source-SCC ids it can serve.  ``absorbed`` is the witness with its
+    vertices an optimal matching parks inside source SCCs; each serves its
+    own source SCC and every one in ``open_sccs``, the source SCCs the other
+    roots can hand their freedom to.  ``absorbed`` is the witness with its
     source SCCs absorbed: the real and auxiliary ``match_l`` (auxiliary k is
     left vertex n + k) and ``match_r``.
     """
@@ -74,7 +75,7 @@ class PlacementSummary:
     p: int
     witness: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False)
     assignable_vertices: frozenset[int]
-    assignment_edges: frozenset[tuple[int, int]]
+    open_sccs: frozenset[int]
     condensation: Condensation
     absorbed: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
@@ -236,28 +237,22 @@ def min_dedicated_inputs(
 
     ml = ml + [-1] * len(members)
     absorbed = _absorb_source_sccs(adj, g.n, members, ml, mr)
-    source_set = set(source_ids)
     basis = _roots(mr, g.n)
-    assignable = sorted(v for v in basis if cond.scc_of[v] in source_set)
+    assignable = sorted(v for v in basis if cond.scc_of[v] in cond.non_top_linked)
 
-    edges: set[tuple[int, int]] = set()
+    ext: set[int] = set()
     if assignable:
         # Slot i keeps its own SCC; any SCC with a vertex that can join the
         # whole assignable set in one maximum matching is open to every slot.
         # Those vertices are the ones the other roots can hand their freedom
         # to, and no exchange step lands on an assignable root.
-        others = [v for v in basis if cond.scc_of[v] not in source_set]
+        others = [v for v in basis if cond.scc_of[v] not in cond.non_top_linked]
         avoid = _avoidable(g.predecessors(), ml, others)
-        ext = {cond.scc_of[w] for w in avoid} & source_set
-        for i, v in enumerate(assignable):
-            edges.add((i, cond.scc_of[v]))
-            for j in ext:
-                edges.add((i, j))
-
-    alpha = max_assignability_index(edges, len(assignable), cond.beta)
+        ext = {cond.scc_of[w] for w in avoid} & cond.non_top_linked
+    alpha = max_assignability_index([cond.scc_of[v] for v in assignable], ext)
     if alpha != absorbed:
         raise RuntimeError(
-            f"assignability matching gives {alpha}, augmentation absorbed {absorbed}"
+            f"assignability index is {alpha}, augmentation absorbed {absorbed}"
         )
     p = m + cond.beta - alpha
 
@@ -268,29 +263,22 @@ def min_dedicated_inputs(
         p=p,
         witness=witness,
         assignable_vertices=frozenset(assignable),
-        assignment_edges=frozenset(edges),
+        open_sccs=frozenset(ext),
         condensation=cond,
         absorbed=(tuple(ml), tuple(mr)),
     )
 
 
-def max_assignability_index(
-    edges: frozenset[tuple[int, int]] | set[tuple[int, int]],
-    n_slots: int,
-    beta: int,
-) -> int:
-    """Size of a maximum matching of the slot/SCC assignment graph."""
-    scc_ids = sorted({j for _, j in edges})
-    col_of = {j: k for k, j in enumerate(scc_ids)}
-    adj: list[list[int]] = [[] for _ in range(n_slots)]
-    for i, j in edges:
-        adj[i].append(col_of[j])
-    for row in adj:
-        row.sort()
-    _, _, size = solve_matching(adj, len(scc_ids))
-    if size > beta:
-        raise RuntimeError(f"assignability index {size} exceeds beta={beta}")
-    return size
+def max_assignability_index(slot_sccs: Sequence[int], open_sccs: Collection[int]) -> int:
+    """Maximum matching size of the graph joining slot i to its own source
+    SCC ``slot_sccs[i]`` and to every SCC in ``open_sccs``: min(k, |D ∪ open|)
+    for k slots with own SCCs D.  By Hall's theorem it is k minus the largest
+    deficiency |S| - |N(S)| over slot sets S (0 for S empty).  A non-empty S
+    has N(S) = (own SCCs of S) ∪ open, and each added slot adds at most one
+    SCC, so all k slots have the largest deficiency.  Both sets hold source
+    SCCs, so the size never exceeds beta.
+    """
+    return min(len(slot_sccs), len(set(slot_sccs).union(open_sccs)))
 
 
 def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> PartitionSet:

@@ -137,15 +137,15 @@ def reference_parse_edgelist(text):
         if parts[0] == "n":
             if len(parts) != 2 or not _is_digits(parts[1]):
                 raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
-            size = _check_size(int(parts[1]), f"line {line_no}")
+            size = _check_size(_long_checked_int(parts[1], line_no), f"line {line_no}")
             declared = (size, size)
             continue
         if parts[0] == "shape":
             if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
                 raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
             declared = (
-                _check_size(int(parts[1]), f"line {line_no}"),
-                _check_size(int(parts[2]), f"line {line_no}"),
+                _check_size(_long_checked_int(parts[1], line_no), f"line {line_no}"),
+                _check_size(_long_checked_int(parts[2], line_no), f"line {line_no}"),
             )
             continue
         if len(parts) != 2:
@@ -153,7 +153,7 @@ def reference_parse_edgelist(text):
         a, b = parts
         if not (line.isascii() and a.isdigit() and b.isdigit()):
             raise PatternFormatError(f"line {line_no}: indices must be ASCII digits, got {raw!r}")
-        i, j = int(a), int(b)
+        i, j = _long_checked_int(a, line_no), _long_checked_int(b, line_no)
         if i < 1 or j < 1:
             raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
         entries.append((line_no, i, j))
@@ -185,6 +185,16 @@ def _check_size(value, where):
             f"{where}: dimension {value} exceeds the limit of {MAX_STATES} states"
         )
     return value
+
+
+def _long_checked_int(token, line_no):
+    """A number with more significant digits than MAX_STATES is refused at its line."""
+    significant = token.lstrip("0")
+    if len(significant) > len(str(MAX_STATES)):
+        raise PatternFormatError(
+            f"line {line_no}: dimension {significant} exceeds the limit of {MAX_STATES} states"
+        )
+    return int(token)
 
 
 def _is_digits(token):

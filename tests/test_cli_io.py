@@ -163,6 +163,14 @@ EDGELIST_CASES = {
     # int() refuses over 4300 digits on recent Pythons; the letter must be named first.
     "first-seen long token before a letter": ("n 3\n" + "1" * 5000 + " x\n",
                                               "line 2: indices must be ASCII digits"),
+    # More significant digits than MAX_STATES: refused at their line, before int().
+    "first-seen long token": ("n 3\n" + "1" * 5000 + " 1\n", "line 2: dimension 1111"),
+    "long token after a known one": ("1 1\n1 123456789\n",
+                                     "line 2: dimension 123456789 exceeds the limit"),
+    "long token beats a later bad line": ("n 3\n123456789 1\nfoo\n", "line 2: dimension"),
+    "long size directive": ("n " + "9" * 5000 + "\n", "line 1: dimension 9999"),
+    "long shape directive": ("shape 3 123456789\n", "line 1: dimension 123456789"),
+    "zero-padded index": ("n 3\n" + "0" * 20 + "3 1\n3 " + "0" * 9 + "2\n", None),
 }
 
 
@@ -701,6 +709,60 @@ def test_cli_bad_entry_index_exits_2_with_line(tmp_path, capsys, index, fmt):
         )
     assert run_cli(["analyze", str(path)]) == 2
     assert "line " in capsys.readouterr().err
+
+
+LONG = "1" * 5000
+
+
+# File name -> (contents, where the error must point), each holding a number
+# too long for int() on any Python with its default digit limit.
+LONG_NUMBERS = {
+    "entry.el": (f"n 3\n1 1\n2 {LONG}\n", "line 3: dimension 1111"),
+    "first-seen.el": (f"1 1\n{LONG} 1\n", "line 2: dimension 1111"),
+    "size.el": (f"# wide\nn {LONG}\n", "line 2: dimension 1111"),
+    "entry.mtx": (f"%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 {LONG}\n",
+                  "line 3: dimension 1111"),
+    "size.mtx": (f"%%MatrixMarket matrix coordinate pattern general\n3 {LONG} 0\n",
+                 "line 2: dimension 1111"),
+    "count.mtx": (f"%%MatrixMarket matrix coordinate pattern general\n3 3 {LONG}\n1 1\n",
+                  "line 2: size line declares 1111"),
+    "entry.json": (f'{{"n": 3,\n "nonzeros": [[1, {LONG}]]}}', "invalid JSON: line 2:"),
+    "size.json": (f'{{"n": {LONG}, "nonzeros": []}}', "invalid JSON: line 1:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBERS))
+def test_cli_names_the_line_of_a_number_too_long_for_int(tmp_path, capsys, name):
+    text, where = LONG_NUMBERS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Exceeds the limit" not in err
+
+
+PARSE_PIECES = [
+    *"0123456789", " ", "\t", "\n", "#", "%", "-", ".", "e", "n", "shape", "x", "\u00b2",
+    "\u0663", "9" * 9, LONG, "%%MatrixMarket matrix coordinate pattern general\n",
+    "%%MatrixMarket matrix coordinate integer symmetric\n",
+    '{"n": ', '{"n_rows": ', ', "n_cols": ', ', "nonzeros": [', "[", "]", "}", ", ", "true",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(PARSE_PIECES), max_size=30).map("".join),
+    st.sampled_from(fileio.FORMATS),
+)
+def test_parse_pattern_raises_only_pattern_format_errors(tmp_path_factory, text, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            parse_pattern(path, fmt)
+        except PatternFormatError:
+            pass
 
 
 def _run_module(*args):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from structctrl import (
     emit_input_matrix,
     emit_output_matrix,
     enumerate_configurations,
+    gen_random,
     generate_configuration,
     is_structurally_controllable,
     matching_from_pairs,
@@ -22,7 +24,8 @@ from structctrl import (
     to_state_bipartite,
 )
 from structctrl.graph_core import SystemDigraph, strongly_connected_components
-from structctrl.matching import solve_matching
+from structctrl import placement
+from structctrl.matching import BipartiteGraph, solve_matching
 from structctrl.placement import max_assignability_index
 from brute import (
     all_maximum_matchings,
@@ -85,17 +88,30 @@ def test_witness_pairs_must_be_digraph_edges(sync6_graph, bad_pair):
         stem_cycle_decomposition(sync6_graph, m)
 
 
+def _v1_assignment_edges(s):
+    """Schema-v1 slot/SCC pairs of a summary: slot i, the i-th smallest
+    assignable vertex, serves its own source SCC and every open one."""
+    scc_of = s.condensation.scc_of
+    slots = enumerate(sorted(s.assignable_vertices))
+    return frozenset((i, j) for i, v in slots for j in {scc_of[v], *s.open_sccs})
+
+
 def test_summary_invariants_random():
     rng = random.Random(101)
     for _ in range(150):
-        g = build_digraph(random_pattern(rng, rng.randint(1, 7), rng.random()))
+        a = random_pattern(rng, rng.randint(1, 7), rng.random())
+        g = build_digraph(a)
         s = min_dedicated_inputs(g)
         assert s.p == s.m + s.beta - s.alpha
         assert 0 <= s.alpha <= min(max(s.m, 1), s.beta)
-        # alpha is the matching size of the reported assignment graph
-        assert s.alpha == max_assignability_index(
-            s.assignment_edges, len(s.assignable_vertices), s.beta
+        assert s.open_sccs <= s.condensation.non_top_linked
+        # alpha is the maximum matching size of the reported assignment
+        # graph, found by exhaustive search, and p is the true minimum.
+        bg = BipartiteGraph(
+            len(s.assignable_vertices), s.condensation.n_sccs, _v1_assignment_edges(s)
         )
+        assert s.alpha == brute_max_matching_size(bg)
+        assert s.p == brute_force_minimum(a)[0]
 
 
 def test_assignable_vertices_worked_example(sync6_graph):
@@ -119,24 +135,62 @@ def test_assignable_vertices_two_cycle_perfect_match():
 def test_assignment_edges_worked_example(sync6_graph):
     # Slot 0 is vertex 1 (one-based), which can only live in its own SCC:
     # pinning it and forcing vertex 2 unmatched shrinks the matching.
-    assert min_dedicated_inputs(sync6_graph).assignment_edges == frozenset({(0, 0)})
+    s = min_dedicated_inputs(sync6_graph)
+    assert s.open_sccs == frozenset()
+    assert _v1_assignment_edges(s) == frozenset({(0, 0)})
 
 
 def test_assignment_edges_empty():
     g = SystemDigraph(2, {(0, 1), (1, 0)})
-    assert min_dedicated_inputs(g).assignment_edges == frozenset()
+    s = min_dedicated_inputs(g)
+    assert s.open_sccs == frozenset()
+    assert _v1_assignment_edges(s) == frozenset()
 
 
 def test_assignment_edges_edgeless_pair():
     s = min_dedicated_inputs(build_digraph(EDGELESS2))
     assert s.assignable_vertices == frozenset({0, 1})
-    assert s.assignment_edges == frozenset({(0, 0), (1, 1)})
+    assert s.open_sccs == frozenset()
+    assert _v1_assignment_edges(s) == frozenset({(0, 0), (1, 1)})
 
 
 def test_max_assignability_trivial():
-    assert max_assignability_index(frozenset(), 0, 3) == 0
-    assert max_assignability_index({(0, 0), (1, 1)}, 2, 2) == 2
-    assert max_assignability_index({(0, 0), (1, 0)}, 2, 2) == 1
+    assert max_assignability_index([], set()) == 0
+    assert max_assignability_index([], {0, 1}) == 0
+    assert max_assignability_index([0, 1], set()) == 2
+    assert max_assignability_index([0, 0], set()) == 1
+    assert max_assignability_index([0, 0], {1}) == 2
+    assert max_assignability_index([0], {1, 2}) == 1
+
+
+def test_unseeded_analysis_runs_two_matchings(sync6_graph, monkeypatch):
+    # One for the witness and one for the source-SCC absorption; alpha's
+    # cross-check is closed-form.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve_matching(*args, **kwargs)
+
+    monkeypatch.setattr(placement, "solve_matching", counting)
+    for g in (sync6_graph, build_digraph(gen_random(200, "banded", seed=3, band=2)[0])):
+        calls.clear()
+        min_dedicated_inputs(g)
+        assert len(calls) == 2
+
+
+def test_analysis_memory_stays_linear_on_banded_patterns():
+    # Banded patterns open many source SCCs to many assignable roots; a
+    # slot-by-SCC pair set of them grows quadratically.
+    g = build_digraph(gen_random(20_000, "banded", seed=3, band=2, fill=0.5)[0])
+    tracemalloc.start()
+    try:
+        s = min_dedicated_inputs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.m, s.beta, s.alpha, s.p) == (1456, 1779, 1186, 2049)
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_alpha_matches_exhaustive_maximum():
