@@ -309,6 +309,8 @@ def _read_int(token: str, line_no: int) -> int:
     significant digits than MAX_STATES; past 4 300, int() would refuse it with no line."""
     digits = token.lstrip("0")
     if len(digits) > _DIGITS:
+        if len(digits) > 20:  # keep the message one readable line
+            digits = f"{digits[:12]}... ({len(digits)} digits)"
         raise PatternFormatError(
             f"line {line_no}: dimension {digits} exceeds the limit of {MAX_STATES} states"
         )

@@ -134,7 +134,7 @@ class SystemDigraph:
         return self._pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condensation:
     """SCC partition of a digraph and its source components.
 

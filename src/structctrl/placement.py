@@ -26,7 +26,7 @@ size p works if and only if some maximum matching misses exactly C's
 Enumeration lists those root sets by Lawler's partition scheme, repairing
 each search node's absorbed matching from its parent's with one exchange
 search and at most one re-absorption.  So it has polynomial delay: at most
-m + 1 witness calls per root set, plus one oracle call per placement.
+m + 1 witness calls per root set, and each placement meets Lin's conditions.
 
 ``min_dedicated_inputs`` finds its witness by Hopcroft-Karp seeded with a
 Karp-Sipser start over the digraph's shared successor and predecessor
@@ -43,19 +43,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Collection, Iterator, Sequence
 
-from . import oracle
 from .graph_core import (
     Condensation,
     StructPattern,
     SystemDigraph,
     build_digraph,
-    pattern_of,
     strongly_connected_components,
 )
 from .matching import Matching, karp_sipser, solve_matching
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementSummary:
     """Result of the fast placement analysis.
 
@@ -80,7 +78,7 @@ class PlacementSummary:
     absorbed: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionSet:
     """Per-slot candidate sets whose constrained product spans all placements.
 
@@ -94,7 +92,7 @@ class PartitionSet:
     split: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputConfiguration:
     """A set of states, each of which receives its own dedicated input."""
 
@@ -107,11 +105,17 @@ class InputConfiguration:
         return tuple(sorted(self.states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationResult:
+    """Placements listed, and whether ``limit`` cut the list short.  The
+    placements are controllable by construction, so ``oracle_rejections`` is
+    always 0; it stays only because ``perfbench/workloads.py`` and
+    ``perfbench/tracer.py`` read it."""
+
     configurations: tuple[InputConfiguration, ...]
     truncated: bool
-    oracle_rejections: int
+    _state_sets: frozenset[frozenset[int]] = field(repr=False, compare=False)
+    oracle_rejections: int = 0
 
     def __iter__(self):
         return iter(self.configurations)
@@ -119,11 +123,12 @@ class EnumerationResult:
     def __len__(self) -> int:
         return len(self.configurations)
 
-    def state_sets(self) -> set[frozenset[int]]:
-        return {c.states for c in self.configurations}
+    def state_sets(self) -> frozenset[frozenset[int]]:
+        """The placements' state sets, kept from the enumeration's de-duplication."""
+        return self._state_sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementDesign:
     """Bundle returned by the end-to-end design helpers."""
 
@@ -427,10 +432,10 @@ def enumerate_configurations(
     avoiding OUT, its witness R is one of them, and with free =
     sorted(R - IN) child t is (IN + free[:t], OUT + {free[t]}).  A child's
     witness is repaired exactly from its parent's, so enumeration has
-    polynomial delay: at most m + 1 witness calls per root set, plus one
-    oracle call per placement.  Repeated placements are dropped.
-
-    The oracle is a safety net; the rejection counter should stay at zero.
+    polynomial delay: at most m + 1 witness calls per root set.  Repeated
+    placements are dropped.  A root set with one state in each source SCC it
+    misses meets Lin's two conditions, so every placement listed is
+    structurally controllable by construction.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -438,28 +443,20 @@ def enumerate_configurations(
     cond = summary.condensation
     adj = g.successors()
     in_lefts = g.predecessors()
-    a_pattern = pattern_of(g)
     members = [cond.scc_members[j] for j in sorted(cond.non_top_linked)]
 
     configs: list[InputConfiguration] = []
     seen: set[frozenset[int]] = set()
-    rejections = 0
 
     def emit(roots: list[int]) -> bool:
         """Add R's completions; False once a placement past ``limit`` appears."""
-        nonlocal rejections
         for states in _completions(summary, roots):
             if states in seen:
                 continue
-            seen.add(states)
-            config = InputConfiguration(states)
-            b = emit_input_matrix(config, n)
-            if not oracle.is_structurally_controllable(a_pattern, b).controllable:
-                rejections += 1
-                continue
             if len(configs) >= limit:
                 return False
-            configs.append(config)
+            seen.add(states)
+            configs.append(InputConfiguration(states))
         return True
 
     ml, mr = summary.absorbed
@@ -486,7 +483,7 @@ def enumerate_configurations(
             truncated = not emit(child[2])
             stack.append([[r for r in child[2] if not role[r]], 0, child])
 
-    return EnumerationResult(tuple(configs), truncated, rejections)
+    return EnumerationResult(tuple(configs), truncated, frozenset(seen))
 
 
 def emit_input_matrix(config: InputConfiguration, n: int) -> StructPattern:

@@ -191,6 +191,8 @@ def _long_checked_int(token, line_no):
     """A number with more significant digits than MAX_STATES is refused at its line."""
     significant = token.lstrip("0")
     if len(significant) > len(str(MAX_STATES)):
+        if len(significant) > 20:
+            significant = f"{significant[:12]}... ({len(significant)} digits)"
         raise PatternFormatError(
             f"line {line_no}: dimension {significant} exceeds the limit of {MAX_STATES} states"
         )

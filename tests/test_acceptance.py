@@ -114,7 +114,8 @@ def test_criterion_4_configuration_sets_equal_brute_force():
         k, subsets = brute_force_minimum(a)
         assert s.p == k
         assert not enum.truncated
-        assert enum.oracle_rejections == 0
+        for c in enum:
+            assert is_structurally_controllable(a, emit_input_matrix(c, n)).controllable
         assert enum.state_sets() == set(subsets), sorted(a.nonzeros)
         checked += 1
     _report(4, f"{checked} random digraphs, configuration sets identical")

@@ -741,6 +741,17 @@ def test_cli_names_the_line_of_a_number_too_long_for_int(tmp_path, capsys, name)
     assert where in err and "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("name", ["entry.el", "entry.mtx"])
+def test_cli_long_number_error_is_one_short_line(tmp_path, capsys, name):
+    text, where = LONG_NUMBERS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(["analyze", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
+    assert where.split(":")[0] in lines[0] and "(5000 digits)" in lines[0]
+
+
 PARSE_PIECES = [
     *"0123456789", " ", "\t", "\n", "#", "%", "-", ".", "e", "n", "shape", "x", "\u00b2",
     "\u0663", "9" * 9, LONG, "%%MatrixMarket matrix coordinate pattern general\n",

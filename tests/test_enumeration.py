@@ -50,7 +50,8 @@ def test_enumeration_equals_brute_force(a):
     assert enum.state_sets() == set(subsets)
     assert len(enum) == len(subsets)
     assert not enum.truncated
-    assert enum.oracle_rejections == 0
+    for c in enum:
+        assert is_structurally_controllable(a, emit_input_matrix(c, a.n_rows)).controllable
 
 
 @st.composite
