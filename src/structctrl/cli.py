@@ -4,9 +4,11 @@ Subcommands: analyze, design-inputs, design-outputs, enumerate, verify,
 gen, bench.  Reports print as text by default or, with ``--format json``,
 as a versioned JSON document on one compact line (sorted keys, no
 indentation, so that the C encoder writes it); each command builds only
-the output it prints.  The argument parser is built once per process and
-reused by every ``run_cli`` call.  All vertex indices in files and reports
-are one-based; exit codes: 0 success, 1 verify found the pair
+the output it prints.  analyze, design-*, enumerate and bench drop the
+pattern once its digraph is built and keep only ``n`` and the entry
+count for the report.  The argument parser is built once per process
+and reused by every ``run_cli`` call.  All vertex indices in files and
+reports are one-based; exit codes: 0 success, 1 verify found the pair
 uncontrollable, 2 bad input or usage, 3 internal error (a broken
 invariant, reported on stderr as ``internal error: ...``).
 """
@@ -29,7 +31,6 @@ from .fileio import (
 from .graph_core import StructPattern, build_digraph
 from .oracle import is_structurally_controllable
 from .placement import (
-    design_inputs,
     emit_input_matrix,
     emit_output_matrix,
     enumerate_configurations,
@@ -61,10 +62,10 @@ def _pattern_dict(p: StructPattern) -> dict:
     }
 
 
-def _instance_dict(pattern: StructPattern, cond) -> dict:
+def _instance_dict(n: int, nnz: int, cond) -> dict:
     return {
-        "n": pattern.n_rows,
-        "edge_count": pattern.nnz,
+        "n": n,
+        "edge_count": nnz,
         "scc_count": cond.n_sccs,
         "non_top_linked_count": cond.beta,
     }
@@ -100,18 +101,19 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     pattern = parse_pattern(args.file, args.input_format)
     t1 = time.perf_counter()
+    n, nnz = pattern.n_rows, pattern.nnz
     g = build_digraph(pattern)
+    del pattern  # the later stages read the digraph only
     summary = min_dedicated_inputs(g)
     t2 = time.perf_counter()
     if args.format == "text":
-        print(f"instance: n={pattern.n_rows} edges={pattern.nnz} "
-              f"sccs={summary.condensation.n_sccs}")
+        print(f"instance: n={n} edges={nnz} sccs={summary.condensation.n_sccs}")
         print(_summary_line(summary))
         return 0
     _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
-        "instance": _instance_dict(pattern, summary.condensation),
+        "instance": _instance_dict(n, nnz, summary.condensation),
         "summary": _summary_dict(summary),
         "timings_ms": {
             "parse": round(1000 * (t1 - t0), 3),
@@ -129,8 +131,11 @@ def _design_report(args, dual: bool) -> int:
         raise ValueError(
             f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
         )
-    work_pattern = pattern.transpose() if dual else pattern
-    g = build_digraph(work_pattern)
+    n, nnz = pattern.n_rows, pattern.nnz
+    if dual:
+        pattern = pattern.transpose()
+    g = build_digraph(pattern)
+    del pattern
     summary = min_dedicated_inputs(g)
     # Only the JSON report holds the partitions, O(m*E) to compute.
     partitions = natural_partitions(g, summary) if args.format == "json" else None
@@ -150,7 +155,7 @@ def _design_report(args, dual: bool) -> int:
         )
     emit_flag = args.emit_b if not dual else args.emit_c
     emit = emit_output_matrix if dual else emit_input_matrix
-    matrices = [emit(c, pattern.n_rows) for c in configs] if emit_flag else []
+    matrices = [emit(c, n) for c in configs] if emit_flag else []
     if args.format == "text":
         print(_summary_line(summary))
         for c in configs:
@@ -169,7 +174,7 @@ def _design_report(args, dual: bool) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": f"design-{kind}",
-        "instance": _instance_dict(pattern, summary.condensation),
+        "instance": _instance_dict(n, nnz, summary.condensation),
         "summary": _summary_dict(summary),
         "partitions": [_one_based(t) for t in partitions.thetas],
         "configurations": [_one_based(c.states) for c in configs],
@@ -187,8 +192,11 @@ def _design_report(args, dual: bool) -> int:
 
 def _cmd_enumerate(args) -> int:
     pattern = parse_pattern(args.file, args.input_format)
-    design = design_inputs(pattern, limit=args.limit)
-    summary, enum = design.summary, design.enumeration
+    n, nnz = pattern.n_rows, pattern.nnz
+    g = build_digraph(pattern)
+    del pattern
+    summary = min_dedicated_inputs(g)
+    enum = enumerate_configurations(g, summary, limit=args.limit)
     if args.format == "text":
         print(_summary_line(summary))
         for c in sorted(enum, key=lambda c: c.sorted_states()):
@@ -200,7 +208,7 @@ def _cmd_enumerate(args) -> int:
     _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
-        "instance": _instance_dict(pattern, summary.condensation),
+        "instance": _instance_dict(n, nnz, summary.condensation),
         "summary": _summary_dict(summary),
         "configurations": sorted(_one_based(c.states) for c in enum),
         "truncated": enum.truncated,
@@ -268,13 +276,15 @@ def _cmd_bench(args) -> int:
     rows = []
     for k, n in enumerate(sizes):
         pattern, _ = gen_random(n, "erdos", seed=args.seed + k, p_edge=args.degree / n)
+        nnz = pattern.nnz
         g = build_digraph(pattern)
+        del pattern
         t0 = time.perf_counter()
         summary = min_dedicated_inputs(g)
         elapsed = time.perf_counter() - t0
         rows.append({
             "n": n,
-            "edges": pattern.nnz,
+            "edges": nnz,
             "seconds": round(elapsed, 4),
             "m": summary.m,
             "beta": summary.beta,

@@ -16,6 +16,8 @@ Each parser reads its input in one pass and keeps two lists of zero-based
 row and column indices.  Every distinct index is one shared int object, so
 the entry set and every adjacency list built from it hold references, not
 fresh ints, and memory stays O(entries) however large the declared size.
+Each parser drops its scaffolding (token index, decoded document or line
+list) before it builds the entry set, so the two are never alive together.
 """
 
 from __future__ import annotations
@@ -177,6 +179,7 @@ def _parse_edgelist(text: str) -> StructPattern:
         raise PatternFormatError(
             f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
         )
+    del index, share
     return StructPattern._prechecked(n_rows, n_cols, _entry_set(rows, cols, "edgelist"))
 
 
@@ -231,6 +234,7 @@ def _parse_json(text: str) -> StructPattern:
         j -= 1
         rows.append(share(i, i))
         cols.append(share(j, j))
+    del data, raw, share
     return StructPattern._prechecked(n_rows, n_cols, _entry_set(rows, cols, "JSON"))
 
 
@@ -289,6 +293,7 @@ def _parse_mtx(text: str) -> StructPattern:
         raise PatternFormatError(
             f"line {size_line}: size line declares {dims[2]} entries, found {len(rows)}"
         )
+    del lines, share
     if symmetry == "symmetric":
         mirrored = [(i, j) for i, j in zip(rows, cols) if i != j]
         rows += [j for _, j in mirrored]

@@ -15,7 +15,10 @@ pattern.  The matcher is a phase-based augmenting-path matcher with
 lookahead in the style of Pothen and Fan (see Duff, Kaya and Ucar, ACM
 TOMS 38(2), 2011): a greedy start, then phases of one depth-first search
 per free left vertex with one visited stamp per right vertex for the whole
-call, until a phase augments nothing.
+call, until a phase augments nothing.  For the dilation test the states
+are its left vertices, each adjacent to the states and inputs that feed
+it, so every search starts at an unmatched state and inputs beyond what
+the states need start none.
 """
 
 from __future__ import annotations
@@ -141,20 +144,25 @@ def is_structurally_controllable(
     """Exact structural-controllability test for a structured pair (A, B).
 
     ``accessibility_ok``: every state lies on a directed path from some
-    input-connected state.  ``dilation_free``: the states and inputs on the
-    left versus the states on the right admit a matching covering all n
-    states.  With ``trials`` > 0 the best rank found by
-    :func:`numeric_cross_check` is attached as ``numeric_rank``.
+    input-connected state.  ``dilation_free``: each state can be matched to
+    its own state or input among those that feed it (a matching of the
+    states and inputs versus the states that covers all n states).  With
+    ``trials`` > 0 the best rank found by :func:`numeric_cross_check` is
+    attached as ``numeric_rank``.
     """
     _check_dims(a, b)
     n = a.n_rows
 
-    # Left vertex j < n is state j (entry (i, j) is edge j -> i); n + k is input k.
+    # Vertex j < n is state j (entry (i, j) is edge j -> i); n + k is input k.
+    # adj[u] lists what u feeds (accessibility), rows[i] what feeds state i.
     adj: list[list[int]] = [[] for _ in range(n + b.n_cols)]
+    rows: list[list[int]] = [[] for _ in range(n)]
     for i, j in a.nonzeros:
         adj[j].append(i)
+        rows[i].append(j)
     for i, k in b.nonzeros:
         adj[n + k].append(i)
+        rows[i].append(n + k)
     seen: set[int] = set()
     stack = list(range(n, n + b.n_cols))
     while stack:
@@ -165,8 +173,8 @@ def is_structurally_controllable(
                 stack.append(v)
     accessibility_ok = len(seen) == n
 
-    match_r = _augmenting_matcher(adj, n)
-    dilation_free = all(owner != -1 for owner in match_r)
+    match_r = _augmenting_matcher(rows, n + b.n_cols)
+    dilation_free = len(match_r) - match_r.count(-1) == n
 
     rank = numeric_cross_check(a, b, trials, seed)[1] if trials > 0 else None
     return OracleVerdict(

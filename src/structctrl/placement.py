@@ -246,11 +246,14 @@ def min_dedicated_inputs(
     assignable = sorted(v for v in basis if cond.scc_of[v] in cond.non_top_linked)
 
     ext: set[int] = set()
-    if assignable:
-        # Slot i keeps its own SCC; any SCC with a vertex that can join the
-        # whole assignable set in one maximum matching is open to every slot.
-        # Those vertices are the ones the other roots can hand their freedom
-        # to, and no exchange step lands on an assignable root.
+    # Slot i keeps its own SCC; any SCC with a vertex that can join the
+    # whole assignable set in one maximum matching is open to every slot.
+    # Those vertices are the ones the other roots can hand their freedom
+    # to, and no exchange step lands on an assignable root.  Only the roots'
+    # own SCCs can be open (a free auxiliary vertex next to a reached state
+    # would augment), and a reached state is not the root, so the search
+    # runs only when one of those SCCs has more than one member.
+    if any(len(cond.scc_members[cond.scc_of[v]]) > 1 for v in assignable):
         others = [v for v in basis if cond.scc_of[v] not in cond.non_top_linked]
         avoid = _avoidable(g.predecessors(), ml, others)
         ext = {cond.scc_of[w] for w in avoid} & cond.non_top_linked

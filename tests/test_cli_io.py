@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -238,6 +241,58 @@ def test_parse_allocates_nothing_per_declared_state(tmp_path, name, text):
         tracemalloc.stop()
     assert pattern.n_rows == 10_000_000 and pattern.nnz == 2
     assert peak < 1_000_000  # one pointer per declared state would be 80 MB
+
+
+@pytest.fixture(scope="module")
+def erdos_20k_files(tmp_path_factory):
+    """The erdos instance of 2*10**4 states and mean degree 5, in each format."""
+    pattern, _ = gen_random(20_000, "erdos", seed=5, p_edge=5 / 20_000)
+    folder = tmp_path_factory.mktemp("erdos-20k")
+    files = {}
+    for fmt, name in (("edgelist", "a.el"), ("pattern-json", "a.json"), ("mtx-pattern", "a.mtx")):
+        files[fmt] = folder / name
+        write_pattern(pattern, files[fmt], fmt)
+    return files
+
+
+def _traced(fn):
+    """fn()'s result, the traced memory it leaves held, and the peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+# Parse peak over the size of the parsed pattern.  With each parser's
+# scaffolding dropped before the entry set is built, the instance above reads
+# 1.35 (edgelist), 2.08 (JSON) and 1.35 (mtx); kept to the end, 1.55, 3.10 and 2.05.
+PARSE_PEAK_OVER_PATTERN = {"edgelist": 1.45, "pattern-json": 2.5, "mtx-pattern": 1.45}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARSE_PEAK_OVER_PATTERN))
+def test_parse_drops_its_scaffolding_before_the_entry_set(erdos_20k_files, fmt):
+    pattern, size, peak = _traced(lambda: parse_pattern(erdos_20k_files[fmt]))
+    assert pattern.n_rows == 20_000 and pattern.nnz > 90_000
+    assert peak <= PARSE_PEAK_OVER_PATTERN[fmt] * size, peak / size
+
+
+def test_cli_analyze_peaks_at_pattern_plus_digraph(erdos_20k_files, capsys):
+    # analyze drops the pattern once the digraph exists, so the later stages
+    # allocate into the room it leaves.
+    path = erdos_20k_files["edgelist"]
+
+    def pattern_and_digraph():
+        pattern = parse_pattern(path)
+        return pattern, build_digraph(pattern)
+
+    held, both, _ = _traced(pattern_and_digraph)
+    del held
+    code, _, peak = _traced(lambda: run_cli(["analyze", str(path), "--format", "json"]))
+    assert code == 0 and json.loads(capsys.readouterr().out)["instance"]["n"] == 20_000
+    assert peak <= 1.05 * both, (peak, both)
 
 
 def test_parse_json(tmp_path, sync6_pattern):
@@ -526,6 +581,39 @@ def test_cli_design_outputs(sync6_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["p"] == 2
     assert sorted(report["configurations"]) == [[3, 5], [3, 6], [5, 6]]
+
+
+def _json_report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(argv + ["--format", "json"]) == 0
+    report = json.loads(out.getvalue())
+    report.pop("timings_ms")
+    return report
+
+
+SQUARE_PATTERNS = st.integers(1, 7).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)
+    .map(lambda entries: StructPattern(n, n, entries))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE_PATTERNS)
+def test_cli_design_outputs_is_design_inputs_on_the_transpose(pattern):
+    with tempfile.TemporaryDirectory() as folder:
+        a, a_t = Path(folder) / "a.el", Path(folder) / "a_t.el"
+        write_pattern(pattern, a)
+        write_pattern(pattern.transpose(), a_t)
+        outputs = _json_report(["design-outputs", str(a), "--all", "--emit-c"])
+        inputs = _json_report(["design-inputs", str(a_t), "--all", "--emit-b"])
+    assert (outputs.pop("command"), inputs.pop("command")) == ("design-outputs", "design-inputs")
+    outputs["matrices"] = [
+        {"n_rows": c["n_cols"], "n_cols": c["n_rows"],
+         "nonzeros": sorted([j, i] for i, j in c["nonzeros"])}
+        for c in outputs["matrices"]
+    ]
+    assert outputs == inputs
 
 
 def test_cli_enumerate_limit(sync6_file, capsys):

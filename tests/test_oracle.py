@@ -257,3 +257,32 @@ def test_oracle_dilation_agrees_with_hopcroft_karp_at_medium_size():
         assert verdict.dilation_free == (size == n)
         verdicts.append(verdict.dilation_free)
     assert verdicts[0] and not all(verdicts)
+
+
+def _column_side_dilation_free(a, b):
+    """The dilation test with states and inputs on the left, states on the right."""
+    n = a.n_rows
+    cols = [[] for _ in range(n + b.n_cols)]
+    for i, j in a.nonzeros:
+        cols[j].append(i)
+    for i, k in b.nonzeros:
+        cols[n + k].append(i)
+    return all(owner != -1 for owner in _augmenting_matcher(cols, n))
+
+
+def test_state_side_dilation_equals_column_side():
+    # Inputs from none to three more than states: surplus and missing columns.
+    rng = random.Random(3131)
+    seen = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        a = random_pattern(rng, n, rng.random() * 0.6)
+        n_inputs = rng.randint(0, n + 3)
+        b_density = rng.random() * 0.5
+        b = StructPattern(n, n_inputs, {
+            (i, k) for i in range(n) for k in range(n_inputs) if rng.random() < b_density
+        })
+        got = is_structurally_controllable(a, b).dilation_free
+        assert got == _column_side_dilation_free(a, b), (a, b)
+        seen[got, n_inputs > n] += 1
+    assert min(seen.values()) > 50, seen

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from structctrl import (
     maximum_matching,
     min_dedicated_inputs,
     natural_partitions,
+    parse_pattern,
     stem_cycle_decomposition,
     to_state_bipartite,
 )
@@ -530,3 +532,32 @@ def test_design_outputs_equals_inputs_on_transpose():
 def test_design_outputs_rejects_non_square():
     with pytest.raises(ValueError):
         design_outputs(StructPattern(2, 3, frozenset()))
+
+
+def test_open_sccs_skip_rule_equals_full_search(monkeypatch):
+    # The exchange search is skipped when every assignable root's own source
+    # SCC is a singleton; the open SCCs must be those of the full search.
+    golden = Path(__file__).parent / "golden"
+    cases = [parse_pattern(p) for p in sorted(golden.glob("*.el")) if ".b" not in p.name]
+    rng = random.Random(4242)
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        model = rng.choice(("erdos", "scalefree", "banded"))
+        cases.append(gen_random(n, model, seed=rng.randrange(10**6),
+                                p_edge=min(1.0, rng.uniform(0.5, 3.0) / n))[0])
+    avoidable = placement._avoidable
+    searches = []
+    monkeypatch.setattr(placement, "_avoidable", lambda *a: searches.append(1) or avoidable(*a))
+    skipped = opened = 0
+    for a in cases:
+        g = build_digraph(a)
+        before = len(searches)
+        summary = min_dedicated_inputs(g)
+        skipped += len(searches) == before
+        opened += bool(summary.open_sccs)
+        cond = summary.condensation
+        roots = placement._roots(summary.absorbed[1], g.n)
+        others = [v for v in roots if cond.scc_of[v] not in cond.non_top_linked]
+        reached = avoidable(g.predecessors(), summary.absorbed[0], others)
+        assert summary.open_sccs == {cond.scc_of[w] for w in reached} & cond.non_top_linked
+    assert 0 < skipped < len(cases) and opened > 0
