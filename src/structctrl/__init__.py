@@ -9,7 +9,6 @@ from .matching import (
 )
 from .oracle import brute_force_minimum, is_structurally_controllable, numeric_cross_check
 from .placement import (
-    InputConfiguration,
     design_inputs,
     design_outputs,
     emit_input_matrix,
@@ -24,7 +23,6 @@ from .fileio import PatternFormatError, gen_random, parse_pattern, write_pattern
 __version__ = "0.1.0"
 
 __all__ = [
-    "InputConfiguration",
     "PatternFormatError",
     "StructPattern",
     "brute_force_minimum",

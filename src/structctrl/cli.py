@@ -4,13 +4,15 @@ Subcommands: analyze, design-inputs, design-outputs, enumerate, verify,
 gen, bench.  Reports print as text by default or, with ``--format json``,
 as a versioned JSON document on one compact line (sorted keys, no
 indentation, so that the C encoder writes it); each command builds only
-the output it prints.  analyze, design-*, enumerate and bench drop the
-pattern once its digraph is built and keep only ``n`` and the entry
-count for the report.  The argument parser is built once per process
-and reused by every ``run_cli`` call.  All vertex indices in files and
-reports are one-based; exit codes: 0 success, 1 verify found the pair
-uncontrollable, 2 bad input or usage, 3 internal error (a broken
-invariant, reported on stderr as ``internal error: ...``).
+the output it prints.  analyze, design-* and enumerate share one front
+end, which parses the file, builds the digraph (turned round for
+design-outputs, whose problem is the input problem on the transpose),
+keeps only ``n`` and the entry count of the pattern and analyzes; bench
+drops each pattern the same way.  The argument parser is built once per
+process and reused by every ``run_cli`` call.  All vertex indices in
+files and reports are one-based; exit codes: 0 success, 1 verify found
+the pair uncontrollable, 2 bad input or usage, 3 internal error (a
+broken invariant, reported on stderr as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ def _pattern_dict(p: StructPattern) -> dict:
     }
 
 
-def _instance_dict(n: int, nnz: int, cond) -> dict:
-    return {
-        "n": n,
-        "edge_count": nnz,
-        "scc_count": cond.n_sccs,
-        "non_top_linked_count": cond.beta,
-    }
-
-
 def _summary_dict(summary) -> dict:
     # Schema v1 lists the assignment graph edge by edge, expanded here until
     # ROADMAP item 3: slot i, the i-th smallest assignable vertex, serves its
@@ -97,52 +90,50 @@ def _summary_line(summary) -> str:
     return f"m={summary.m} beta={summary.beta} alpha={summary.alpha} p={summary.p}"
 
 
-def _cmd_analyze(args) -> int:
+def _front_end(args, dual: bool = False):
+    """Parse ``args.file``, build its digraph (turned round for
+    design-outputs), drop the pattern and analyze.  Returns the digraph, the
+    summary, the report's instance block, the parse time in ms and the
+    moment parsing ended."""
     t0 = time.perf_counter()
     pattern = parse_pattern(args.file, args.input_format)
     t1 = time.perf_counter()
-    n, nnz = pattern.n_rows, pattern.nnz
+    instance = {"n": pattern.n_rows, "edge_count": pattern.nnz}
     g = build_digraph(pattern)
     del pattern  # the later stages read the digraph only
+    if dual:
+        g = g.reversed()
     summary = min_dedicated_inputs(g)
+    instance.update(scc_count=summary.condensation.n_sccs, non_top_linked_count=summary.beta)
+    return g, summary, instance, round(1000 * (t1 - t0), 3), t1
+
+
+def _cmd_analyze(args) -> int:
+    _, summary, instance, parse_ms, t1 = _front_end(args)
     t2 = time.perf_counter()
     if args.format == "text":
-        print(f"instance: n={n} edges={nnz} sccs={summary.condensation.n_sccs}")
+        print(f"instance: n={instance['n']} edges={instance['edge_count']} "
+              f"sccs={instance['scc_count']}")
         print(_summary_line(summary))
         return 0
     _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
-        "instance": _instance_dict(n, nnz, summary.condensation),
+        "instance": instance,
         "summary": _summary_dict(summary),
-        "timings_ms": {
-            "parse": round(1000 * (t1 - t0), 3),
-            "analyze": round(1000 * (t2 - t1), 3),
-        },
+        "timings_ms": {"parse": parse_ms, "analyze": round(1000 * (t2 - t1), 3)},
     })
     return 0
 
 
 def _design_report(args, dual: bool) -> int:
-    t0 = time.perf_counter()
-    pattern = parse_pattern(args.file, args.input_format)
-    t1 = time.perf_counter()
-    if dual and not pattern.is_square:
-        raise ValueError(
-            f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
-        )
-    n, nnz = pattern.n_rows, pattern.nnz
-    if dual:
-        pattern = pattern.transpose()
-    g = build_digraph(pattern)
-    del pattern
-    summary = min_dedicated_inputs(g)
+    g, summary, instance, parse_ms, t1 = _front_end(args, dual)
     # Only the JSON report holds the partitions, O(m*E) to compute.
     partitions = natural_partitions(g, summary) if args.format == "json" else None
     truncated = False
     if args.all:
         enum = enumerate_configurations(g, summary, limit=args.limit)
-        configs = sorted(enum.configurations, key=lambda c: c.sorted_states())
+        configs = sorted(enum, key=sorted)
         truncated = enum.truncated
     else:
         configs = [generate_configuration(g, summary)]
@@ -153,54 +144,43 @@ def _design_report(args, dual: bool) -> int:
             f"warning: configuration list truncated at limit={args.limit}",
             file=sys.stderr,
         )
-    emit_flag = args.emit_b if not dual else args.emit_c
     emit = emit_output_matrix if dual else emit_input_matrix
-    matrices = [emit(c, n) for c in configs] if emit_flag else []
+    matrices = [emit(c, g.n) for c in configs] if args.emit else []
     if args.format == "text":
         print(_summary_line(summary))
         for c in configs:
-            print("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
+            print("configuration: " + " ".join(str(s) for s in _one_based(c)))
         if truncated:
             print(f"truncated: true (limit={args.limit})")
         name = "C" if dual else "B"
         for mat in matrices:
-            print(f"{name} pattern ({mat.n_rows}x{mat.n_cols}): " + " ".join(
-                f"({i},{j})" for i, j in sorted(
-                    (i + 1, j + 1) for i, j in mat.nonzeros
-                )
-            ))
+            cells = sorted((i + 1, j + 1) for i, j in mat.nonzeros)
+            print(f"{name} pattern ({mat.n_rows}x{mat.n_cols}): "
+                  + " ".join(f"({i},{j})" for i, j in cells))
         return 0
-    kind = "outputs" if dual else "inputs"
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": f"design-{kind}",
-        "instance": _instance_dict(n, nnz, summary.condensation),
+        "command": args.command,
+        "instance": instance,
         "summary": _summary_dict(summary),
-        "partitions": [_one_based(t) for t in partitions.thetas],
-        "configurations": [_one_based(c.states) for c in configs],
+        "partitions": [_one_based(t) for t in partitions],
+        "configurations": [_one_based(c) for c in configs],
         "truncated": truncated,
-        "timings_ms": {
-            "parse": round(1000 * (t1 - t0), 3),
-            "design": round(1000 * (t2 - t1), 3),
-        },
+        "timings_ms": {"parse": parse_ms, "design": round(1000 * (t2 - t1), 3)},
     }
-    if emit_flag:
+    if args.emit:
         report["matrices"] = [_pattern_dict(mat) for mat in matrices]
     _print_json(report)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    pattern = parse_pattern(args.file, args.input_format)
-    n, nnz = pattern.n_rows, pattern.nnz
-    g = build_digraph(pattern)
-    del pattern
-    summary = min_dedicated_inputs(g)
+    g, summary, instance, _, _ = _front_end(args)
     enum = enumerate_configurations(g, summary, limit=args.limit)
     if args.format == "text":
         print(_summary_line(summary))
-        for c in sorted(enum, key=lambda c: c.sorted_states()):
-            print("configuration: " + " ".join(str(s) for s in _one_based(c.states)))
+        for c in sorted(enum, key=sorted):
+            print("configuration: " + " ".join(str(s) for s in _one_based(c)))
         print(f"count: {len(enum)}")
         if enum.truncated:
             print(f"truncated: true (limit={args.limit})")
@@ -208,9 +188,9 @@ def _cmd_enumerate(args) -> int:
     _print_json({
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
-        "instance": _instance_dict(n, nnz, summary.condensation),
+        "instance": instance,
         "summary": _summary_dict(summary),
-        "configurations": sorted(_one_based(c.states) for c in enum),
+        "configurations": sorted(_one_based(c) for c in enum),
         "truncated": enum.truncated,
     })
     return 0
@@ -268,11 +248,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
     if not sizes or any(s < 2 for s in sizes):
         raise ValueError(f"--sizes needs integers >= 2, got {args.sizes!r}")
     if max(sizes) > MAX_STATES:
         raise ValueError(f"--sizes: n={max(sizes)} exceeds the limit of {MAX_STATES} states")
+    if not 0 <= args.degree <= min(sizes):  # the edge probability is degree / n
+        raise ValueError(f"--degree must be between 0 and the smallest size, got {args.degree}")
     rows = []
     for k, n in enumerate(sizes):
         pattern, _ = gen_random(n, "erdos", seed=args.seed + k, p_edge=args.degree / n)
@@ -341,14 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design-inputs", help="place a minimum set of dedicated inputs")
     p.add_argument("file")
     p.add_argument("--all", action="store_true", help="list every minimal configuration")
-    p.add_argument("--emit-b", action="store_true", help="print the canonical input patterns")
+    p.add_argument("--emit-b", action="store_true", dest="emit",
+                   help="print the canonical input patterns")
     common(p, with_limit=True)
     p.set_defaults(func=functools.partial(_design_report, dual=False))
 
     p = sub.add_parser("design-outputs", help="place a minimum set of dedicated outputs")
     p.add_argument("file")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--emit-c", action="store_true", help="print the canonical output patterns")
+    p.add_argument("--emit-c", action="store_true", dest="emit",
+                   help="print the canonical output patterns")
     common(p, with_limit=True)
     p.set_defaults(func=functools.partial(_design_report, dual=True))
 

@@ -274,6 +274,8 @@ def _parse_mtx(text: str) -> StructPattern:
                 _check_size(_read_int(parts[1], line_no), f"line {line_no}"),
                 parts[2].lstrip("0") or "0",  # compared as text: any length is fine
             )
+            if symmetry == "symmetric" and dims[0] != dims[1]:
+                raise PatternFormatError(f"line {line_no}: symmetric matrix is not square: {raw!r}")
             size_line = line_no
             continue
         if len(parts) < 2 or not _is_digits(parts[0]) or not _is_digits(parts[1]):

@@ -9,8 +9,9 @@ influence digraph, which keeps its edges only as adjacency lists.
 
 ``build_digraph`` fills the successor lists straight from a pattern's
 entries in one pass, so they share the pattern's int objects, and derives
-the predecessor lists from them.  ``strongly_connected_components`` is one
-iterative Tarjan pass that also finds the source components.
+the predecessor lists from them; ``SystemDigraph.reversed`` swaps the two
+to give the transposed pattern's digraph.  ``strongly_connected_components``
+is one iterative Tarjan pass that also finds the source components.
 
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
@@ -132,6 +133,16 @@ class SystemDigraph:
     def predecessors(self) -> list[list[int]]:
         """In-neighbour lists (ascending), built once and shared: callers must not mutate them."""
         return self._pred
+
+    def reversed(self) -> "SystemDigraph":
+        """This digraph with every edge turned round, which is the digraph of
+        the transposed pattern: the two lists swap, shared, with no pass over
+        the edges."""
+        g = object.__new__(SystemDigraph)
+        object.__setattr__(g, "n", self.n)
+        object.__setattr__(g, "_succ", self._pred)
+        object.__setattr__(g, "_pred", self._succ)
+        return g
 
 
 @dataclass(frozen=True, slots=True)

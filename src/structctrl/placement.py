@@ -33,7 +33,10 @@ Karp-Sipser start over the digraph's shared successor and predecessor
 lists, absorbs the source SCCs once, and keeps both the witness and the
 absorbed matching as match arrays; the partitions read the witness, and
 the default placement is the first completion the enumeration lists for
-the absorbed matching's roots.
+the absorbed matching's roots.  A placement is a plain frozenset of
+states.  The sensor design is the same pipeline on the digraph with every
+edge turned round (``SystemDigraph.reversed``), since the output problem
+on A is the input problem on A^T.
 """
 
 from __future__ import annotations
@@ -79,40 +82,14 @@ class PlacementSummary:
 
 
 @dataclass(frozen=True, slots=True)
-class PartitionSet:
-    """Per-slot candidate sets whose constrained product spans all placements.
-
-    The first ``split`` sets hold, for each right-unmatched vertex of the
-    witness matching, every state that could take over its slot in some
-    maximum matching.  The remaining sets are all identical: the union of
-    the source-SCC vertex sets, from which the SCC-covering states are drawn.
-    """
-
-    thetas: tuple[frozenset[int], ...]
-    split: int
-
-
-@dataclass(frozen=True, slots=True)
-class InputConfiguration:
-    """A set of states, each of which receives its own dedicated input."""
-
-    states: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
-
-    def sorted_states(self) -> tuple[int, ...]:
-        return tuple(sorted(self.states))
-
-
-@dataclass(frozen=True, slots=True)
 class EnumerationResult:
-    """Placements listed, and whether ``limit`` cut the list short.  The
-    placements are controllable by construction, so ``oracle_rejections`` is
-    always 0; it stays only because ``perfbench/workloads.py`` and
-    ``perfbench/tracer.py`` read it."""
+    """Placements listed, each the set of states that get a dedicated input,
+    and whether ``limit`` cut the list short.  The placements are
+    controllable by construction, so ``oracle_rejections`` is always 0; it
+    stays only because ``perfbench/workloads.py`` and ``perfbench/tracer.py``
+    read it."""
 
-    configurations: tuple[InputConfiguration, ...]
+    configurations: tuple[frozenset[int], ...]
     truncated: bool
     _state_sets: frozenset[frozenset[int]] = field(repr=False, compare=False)
     oracle_rejections: int = 0
@@ -289,15 +266,18 @@ def max_assignability_index(slot_sccs: Sequence[int], open_sccs: Collection[int]
     return min(len(slot_sccs), len(set(slot_sccs).union(open_sccs)))
 
 
-def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> PartitionSet:
-    """Per-slot candidate sets relative to the summary's witness matching.
+def natural_partitions(
+    g: SystemDigraph, summary: PlacementSummary
+) -> tuple[frozenset[int], ...]:
+    """Per-slot candidate sets relative to the summary's witness matching;
+    their constrained product spans all placements.
 
-    Slot j belongs to the j-th right-unmatched vertex v_j of the witness, in
-    ascending order, and holds every state x such that swapping v_j for x
+    Slot j < m belongs to the j-th right-unmatched vertex v_j of the witness,
+    in ascending order, and holds every state x such that swapping v_j for x
     (keeping the other unmatched vertices pinned) still admits a maximum
     matching.  That is v_j plus its exchange closure under the witness, one
-    BFS from v_j alone.  The remaining p - m slots share the union of the
-    source-SCC vertex sets.
+    BFS from v_j alone.  The remaining p - m slots share one set, the union
+    of the source-SCC vertex sets.
     """
     in_lefts = g.predecessors()
     ml, mr = summary.witness
@@ -307,7 +287,7 @@ def natural_partitions(g: SystemDigraph, summary: PlacementSummary) -> Partition
         v for j in cond.non_top_linked for v in cond.scc_members[j]
     )
     thetas.extend([union_sources] * (summary.p - summary.m))
-    return PartitionSet(tuple(thetas), split=summary.m)
+    return tuple(thetas)
 
 
 def _completions(
@@ -328,7 +308,7 @@ def _completions(
 
 def generate_configuration(
     g: SystemDigraph, summary: PlacementSummary
-) -> InputConfiguration:
+) -> frozenset[int]:
     """One minimum placement: the first completion the enumeration lists.
 
     The summary's absorbed matching is maximum and leaves its m unmatched
@@ -337,7 +317,7 @@ def generate_configuration(
     size m + beta - alpha = p.
     """
     roots = _roots(summary.absorbed[1], g.n)
-    return InputConfiguration(next(_completions(summary, roots)))
+    return next(_completions(summary, roots))
 
 
 # Role of a state in a search node of the enumeration: forced into the
@@ -448,7 +428,7 @@ def enumerate_configurations(
     in_lefts = g.predecessors()
     members = [cond.scc_members[j] for j in sorted(cond.non_top_linked)]
 
-    configs: list[InputConfiguration] = []
+    configs: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
 
     def emit(roots: list[int]) -> bool:
@@ -459,7 +439,7 @@ def enumerate_configurations(
             if len(configs) >= limit:
                 return False
             seen.add(states)
-            configs.append(InputConfiguration(states))
+            configs.append(states)
         return True
 
     ml, mr = summary.absorbed
@@ -489,38 +469,38 @@ def enumerate_configurations(
     return EnumerationResult(tuple(configs), truncated, frozenset(seen))
 
 
-def emit_input_matrix(config: InputConfiguration, n: int) -> StructPattern:
-    """Canonical n x p input pattern: column k actuates the k-th chosen state."""
-    states = config.sorted_states()
-    for s in states:
+def emit_input_matrix(states: Collection[int], n: int) -> StructPattern:
+    """Canonical n x p input pattern: column k actuates the k-th smallest of
+    the p distinct states."""
+    ordered = sorted(set(states))
+    for s in ordered:
         if not (0 <= s < n):
             raise ValueError(f"state {s} outside range 0..{n - 1}")
     return StructPattern._prechecked(
-        n, len(states), frozenset((s, k) for k, s in enumerate(states))
+        n, len(ordered), frozenset((s, k) for k, s in enumerate(ordered))
     )
 
 
-def emit_output_matrix(config: InputConfiguration, n: int) -> StructPattern:
-    """Canonical p x n output pattern: row k measures the k-th chosen state."""
-    return emit_input_matrix(config, n).transpose()
+def emit_output_matrix(states: Collection[int], n: int) -> StructPattern:
+    """Canonical p x n output pattern: row k measures the k-th smallest state."""
+    return emit_input_matrix(states, n).transpose()
 
 
 def design_inputs(pattern: StructPattern, limit: int = 10_000) -> PlacementDesign:
     """Full input-design pipeline on a square state pattern."""
-    g = build_digraph(pattern)
-    summary = min_dedicated_inputs(g)
-    enumeration = enumerate_configurations(g, summary, limit=limit)
-    return PlacementDesign(summary, enumeration)
+    return _design(build_digraph(pattern), limit)
 
 
 def design_outputs(pattern: StructPattern, limit: int = 10_000) -> PlacementDesign:
-    """Dedicated-sensor placement: the input pipeline on the transposed pattern.
+    """Dedicated-sensor placement: the input pipeline on the digraph with
+    every edge turned round, which is the transposed pattern's digraph.
 
     The returned configurations are states to measure; pair them with
     :func:`emit_output_matrix` for the canonical output pattern.
     """
-    if not pattern.is_square:
-        raise ValueError(
-            f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
-        )
-    return design_inputs(pattern.transpose(), limit=limit)
+    return _design(build_digraph(pattern).reversed(), limit)
+
+
+def _design(g: SystemDigraph, limit: int) -> PlacementDesign:
+    summary = min_dedicated_inputs(g)
+    return PlacementDesign(summary, enumerate_configurations(g, summary, limit=limit))

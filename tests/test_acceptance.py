@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from structctrl import (
-    InputConfiguration,
     StructPattern,
     brute_force_minimum,
     build_digraph,
@@ -58,7 +57,7 @@ def test_criterion_2_worked_example_partitions_and_configurations():
     witness = matching_from_pairs(SYNC6_WITNESS_PAIRS, 6)
     s = min_dedicated_inputs(g, matching=witness)
     parts = natural_partitions(g, s)
-    assert parts.thetas == (
+    assert parts == (
         frozenset({0, 1, 2, 4}),  # alternatives for slot of vertex 3 (one-based)
         frozenset({4, 5}),        # alternatives for slot of vertex 6
         frozenset({0, 1}),        # source-SCC coverage slot
@@ -74,7 +73,7 @@ def test_criterion_2_worked_example_partitions_and_configurations():
     for config in enum:
         b = emit_input_matrix(config, 6)
         assert (b.n_rows, b.n_cols) == (6, 3)
-        assert b.nonzeros == mats[config.states]
+        assert b.nonzeros == mats[config]
     # the same two configurations fall out without the textbook witness
     s_default = min_dedicated_inputs(g)
     enum_default = enumerate_configurations(g, s_default, limit=100)
@@ -216,7 +215,7 @@ def test_criterion_9_numeric_cross_check():
         n = rng.randint(1, 10)
         a = random_pattern(rng, n, rng.uniform(0.1, 0.9))
         states = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        b = emit_input_matrix(InputConfiguration(states), n)
+        b = emit_input_matrix(states, n)
         graph_verdict = is_structurally_controllable(a, b).controllable
         label, rank = numeric_cross_check(a, b, trials=5, seed=rng.randrange(10**6))
         if label == "indeterminate":

@@ -12,7 +12,6 @@ import structctrl
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "InputConfiguration",
     "PatternFormatError",
     "StructPattern",
     "brute_force_minimum",

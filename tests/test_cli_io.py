@@ -295,6 +295,18 @@ def test_cli_analyze_peaks_at_pattern_plus_digraph(erdos_20k_files, capsys):
     assert peak <= 1.05 * both, (peak, both)
 
 
+def test_cli_design_outputs_peaks_as_design_inputs(erdos_20k_files, capsys):
+    # design-outputs turns the digraph round instead of building a
+    # transposed pattern and a second digraph, so it peaks where
+    # design-inputs does.
+    path = str(erdos_20k_files["edgelist"])
+    peaks = {}
+    for command in ("design-inputs", "design-outputs"):
+        code, _, peaks[command] = _traced(lambda: run_cli([command, path, "--format", "json"]))
+        assert code == 0 and json.loads(capsys.readouterr().out)["command"] == command
+    assert peaks["design-outputs"] <= 1.05 * peaks["design-inputs"], peaks
+
+
 def test_parse_json(tmp_path, sync6_pattern):
     path = tmp_path / "sync6.json"
     write_pattern(sync6_pattern, path)
@@ -353,6 +365,14 @@ def test_parse_mtx_symmetric(tmp_path):
     path = tmp_path / "sym.mtx"
     path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n")
     assert parse_pattern(path) == StructPattern(3, 3, {(1, 0), (0, 1), (2, 2)})
+
+
+def test_parse_mtx_symmetric_needs_a_square_size_line(tmp_path):
+    # Mirroring (3, 2) of a 3x2 matrix would give (2, 3), outside it.
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 2 2\n1 1\n3 2\n")
+    with pytest.raises(PatternFormatError, match="line 2: symmetric matrix is not square"):
+        parse_pattern(path)
 
 
 def test_parse_mtx_entry_count_must_match_size_line(tmp_path):
@@ -755,6 +775,15 @@ def test_cli_bad_size_line_exits_2_with_line(tmp_path, capsys, name, text):
     assert "line " in capsys.readouterr().err
 
 
+def test_cli_verify_symmetric_non_square_b_exits_2(tmp_path, capsys):
+    # Exit 1 would read as "uncontrollable"; the file is bad input.
+    a, b = tmp_path / "a.el", tmp_path / "b.mtx"
+    a.write_text("n 3\n1 2\n2 3\n")
+    b.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 2 2\n1 1\n3 2\n")
+    assert run_cli(["verify", str(a), str(b)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: symmetric matrix is not square")
+
+
 @pytest.mark.parametrize("name", sorted(OVERSIZED))
 def test_parse_refuses_dimensions_above_the_limit(tmp_path, name):
     text, where = OVERSIZED[name]
@@ -896,3 +925,13 @@ def test_cli_bench_refuses_sizes_above_the_limit_before_running(capsys, monkeypa
     monkeypatch.setattr(cli, "min_dedicated_inputs", never)
     assert run_cli(["bench", "--sizes", "20000,100000000"]) == 2
     assert "n=100000000 exceeds the limit of 10000000 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--sizes", "1000,abc"], "--sizes"), (["--sizes", "5", "--degree", "10"], "--degree")],
+)
+def test_cli_bench_errors_name_its_own_flags(capsys, argv, flag):
+    assert run_cli(["bench", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structctrl import (
-    InputConfiguration,
     StructPattern,
     brute_force_minimum,
     build_digraph,
@@ -114,6 +113,6 @@ def test_known_blowups_finish_fast(path, args, capsys):
         a = a.transpose()
     for states in placements:
         assert len(states) == report["summary"]["p"]
-        b = emit_input_matrix(InputConfiguration(states), a.n_rows)
+        b = emit_input_matrix(states, a.n_rows)
         assert is_structurally_controllable(a, b).controllable
     assert elapsed < WALL_CLOCK_S

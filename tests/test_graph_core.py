@@ -226,6 +226,26 @@ def test_adjacency_is_built_once_and_never_mutated():
         assert g.successors() == succ and g.predecessors() == pred
 
 
+def test_reversed_is_the_digraph_of_the_transpose():
+    # Turning every edge round swaps the shared lists; nothing is rebuilt.
+    rng = random.Random(23)
+    patterns = [
+        StructPattern(0, 0, frozenset()),
+        StructPattern(4, 4, frozenset()),
+        StructPattern(3, 3, {(0, 0), (1, 1), (2, 2)}),
+    ]
+    while len(patterns) < 500:
+        patterns.append(random_pattern(rng, rng.randint(1, 9), rng.random()))
+    for pattern in patterns:
+        g = build_digraph(pattern)
+        r = g.reversed()
+        t = build_digraph(pattern.transpose())
+        assert r.n == t.n == g.n
+        assert r.successors() == t.successors() and r.predecessors() == t.predecessors()
+        assert r.successors() is g.predecessors() and r.predecessors() is g.successors()
+        assert r.reversed() == g
+
+
 def test_digraph_rejects_out_of_range_edges():
     for edge in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
         with pytest.raises(ValueError, match="outside vertex range"):

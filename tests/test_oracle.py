@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from structctrl import (
-    InputConfiguration,
     StructPattern,
     brute_force_minimum,
     build_digraph,
@@ -25,7 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _dedicated(states, n):
-    return emit_input_matrix(InputConfiguration(frozenset(states)), n)
+    return emit_input_matrix(frozenset(states), n)
 
 
 def test_verdict_worked_example_feasible(sync6_pattern):
@@ -247,10 +246,10 @@ def test_oracle_dilation_agrees_with_hopcroft_karp_at_medium_size():
     n = 2000
     a, _ = gen_random(n, "erdos", seed=11, p_edge=5 / n)
     g = build_digraph(a)
-    states = sorted(generate_configuration(g, min_dedicated_inputs(g)).states)
+    states = sorted(generate_configuration(g, min_dedicated_inputs(g)))
     verdicts = []
     for chosen in (states, states[1:], states[:-1]):
-        b = emit_input_matrix(InputConfiguration(frozenset(chosen)), n)
+        b = emit_input_matrix(frozenset(chosen), n)
         rows = g.successors() + [[v] for v in chosen]
         _, _, size = solve_matching(rows, n)
         verdict = is_structurally_controllable(a, b)

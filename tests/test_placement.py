@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from structctrl import (
-    InputConfiguration,
     StructPattern,
     brute_force_minimum,
     build_digraph,
@@ -209,8 +208,8 @@ def test_alpha_matches_exhaustive_maximum():
 def test_partitions_worked_example_with_textbook_witness(sync6_graph, sync6_witness):
     s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
     parts = natural_partitions(sync6_graph, s)
-    assert parts.split == 2
-    assert parts.thetas == (
+    assert s.m == 2
+    assert parts == (
         frozenset({0, 1, 2, 4}),
         frozenset({4, 5}),
         frozenset({0, 1}),
@@ -221,15 +220,15 @@ def test_partitions_single_self_loop():
     g = build_digraph(SELF_LOOP)
     s = min_dedicated_inputs(g)
     parts = natural_partitions(g, s)
-    assert parts.split == 0
-    assert parts.thetas == (frozenset({0}),)
+    assert s.m == 0
+    assert parts == (frozenset({0}),)
 
 
 def test_partitions_star():
     g = build_digraph(STAR)
     s = min_dedicated_inputs(g)
     parts = natural_partitions(g, s)
-    assert set(parts.thetas) == {frozenset({0}), frozenset({1, 2})}
+    assert set(parts) == {frozenset({0}), frozenset({1, 2})}
 
 
 def test_partition_membership_matches_exhaustive_swaps():
@@ -248,10 +247,10 @@ def test_partition_membership_matches_exhaustive_swaps():
             pinned = frozenset(slots) - {vj}
             for x in range(g.n):
                 if x in pinned:
-                    assert x not in parts.thetas[j]
+                    assert x not in parts[j]
                     continue
                 swapped_ok = (pinned | {x}) in unmatched_sets
-                assert swapped_ok == (x in parts.thetas[j])
+                assert swapped_ok == (x in parts[j])
                 rows = [
                     [r for r in row if r not in pinned and r != x]
                     for row in bg.left_adjacency()
@@ -276,8 +275,8 @@ def test_witness_is_the_matching_the_counts_were_read_off():
             assert {(l, r) for l, r in enumerate(ml) if r != -1} == m.pairs
             assert {(l, r) for r, l in enumerate(mr) if l != -1} == m.pairs
             parts = natural_partitions(g, s)
-            assert parts.split == len(m.right_unmatched)
-            for vj, theta in zip(m.right_unmatched, parts.thetas):
+            assert s.m == len(m.right_unmatched)
+            for vj, theta in zip(m.right_unmatched, parts):
                 assert theta & set(m.right_unmatched) == {vj}
         s = min_dedicated_inputs(g)
         ml, mr = s.witness
@@ -298,14 +297,14 @@ def test_generate_worked_example_lowest_index(sync6_graph, sync6_witness):
     # SCC {1} first leaves {1, 5} unmatched and adds state 0: the same set.)
     s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
     config = generate_configuration(sync6_graph, s)
-    assert config.states == frozenset({0, 1, 5})
+    assert config == frozenset({0, 1, 5})
 
 
 def test_generate_single_self_loop():
     g = build_digraph(SELF_LOOP)
     s = min_dedicated_inputs(g)
     config = generate_configuration(g, s)
-    assert config.states == frozenset({0})
+    assert config == frozenset({0})
 
 
 def test_generate_is_the_first_enumerated_placement():
@@ -315,10 +314,10 @@ def test_generate_is_the_first_enumerated_placement():
         s = min_dedicated_inputs(g)
         config = generate_configuration(g, s)
         first = enumerate_configurations(g, s, limit=1).configurations[0]
-        assert config.states == first.states
+        assert config == first
         full = enumerate_configurations(g, s)
         assert not full.truncated
-        assert config.states in full.state_sets()
+        assert config in full.state_sets()
 
 
 def test_generate_runs_no_matching(sync6_graph, sync6_witness, monkeypatch):
@@ -330,7 +329,7 @@ def test_generate_runs_no_matching(sync6_graph, sync6_witness, monkeypatch):
         raise AssertionError("solve_matching called")
 
     monkeypatch.setattr("structctrl.placement.solve_matching", broken)
-    assert generate_configuration(sync6_graph, s).states == frozenset({0, 1, 5})
+    assert generate_configuration(sync6_graph, s) == frozenset({0, 1, 5})
 
 
 def test_enumerate_worked_example(sync6_pattern, sync6_graph):
@@ -388,18 +387,18 @@ def test_enumerate_limit_flag(sync6_graph):
 
 
 def test_emit_input_matrix_goldens():
-    b = emit_input_matrix(InputConfiguration(frozenset({0, 1, 4})), 6)
+    b = emit_input_matrix(frozenset({0, 1, 4}), 6)
     assert (b.n_rows, b.n_cols) == (6, 3)
     assert b.nonzeros == frozenset({(0, 0), (1, 1), (4, 2)})
-    b = emit_input_matrix(InputConfiguration(frozenset({0, 1, 5})), 6)
+    b = emit_input_matrix(frozenset({0, 1, 5}), 6)
     assert b.nonzeros == frozenset({(0, 0), (1, 1), (5, 2)})
-    b = emit_input_matrix(InputConfiguration(frozenset({0})), 1)
+    b = emit_input_matrix(frozenset({0}), 1)
     assert (b.n_rows, b.n_cols, b.nonzeros) == (1, 1, frozenset({(0, 0)}))
 
 
 def test_emit_input_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
-        emit_input_matrix(InputConfiguration(frozenset({3})), 3)
+        emit_input_matrix(frozenset({3}), 3)
 
 
 def test_fast_path_matches_brute_force_random():
@@ -444,7 +443,7 @@ def _root_part(bg, summary, config):
     import itertools
 
     unmatched_sets = all_unmatched_sets(bg)
-    for combo in itertools.combinations(sorted(config.states), summary.m):
+    for combo in itertools.combinations(sorted(config), summary.m):
         if frozenset(combo) in unmatched_sets:
             return frozenset(combo)
     return None
@@ -461,10 +460,10 @@ def test_generated_configs_satisfy_structure():
         bg = to_state_bipartite(g)
         s = min_dedicated_inputs(g)
         config = generate_configuration(g, s)
-        assert len(config.states) == s.p
+        assert len(config) == s.p
         assert is_structurally_controllable(a, emit_input_matrix(config, g.n)).controllable
         for j in s.condensation.non_top_linked:
-            assert config.states & set(s.condensation.scc_members[j])
+            assert config & set(s.condensation.scc_members[j])
         roots = _root_part(bg, s, config)
         assert roots is not None
         witness = next(
