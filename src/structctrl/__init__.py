@@ -1,12 +1,7 @@
 """Minimal dedicated input/output placement for structurally controllable LTI systems."""
 
 from .graph_core import StructPattern, build_digraph
-from .matching import (
-    matching_from_pairs,
-    maximum_matching,
-    stem_cycle_decomposition,
-    to_state_bipartite,
-)
+from .matching import matching_from_pairs, maximum_matching, stem_cycle_decomposition
 from .oracle import brute_force_minimum, is_structurally_controllable, numeric_cross_check
 from .placement import (
     design_inputs,
@@ -42,6 +37,5 @@ __all__ = [
     "numeric_cross_check",
     "parse_pattern",
     "stem_cycle_decomposition",
-    "to_state_bipartite",
     "write_pattern",
 ]

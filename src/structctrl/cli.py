@@ -28,7 +28,7 @@ import warnings
 
 from . import __version__
 from .fileio import (
-    FORMATS, MAX_STATES, PatternFormatError, gen_random, parse_pattern, write_pattern,
+    FORMATS, MAX_STATES, PatternFormatError, _short, gen_random, parse_pattern, write_pattern,
 )
 from .graph_core import StructPattern, build_digraph
 from .oracle import is_structurally_controllable
@@ -253,9 +253,11 @@ def _cmd_bench(args) -> int:
     except ValueError:
         sizes = []
     if not sizes or any(s < 2 for s in sizes):
-        raise ValueError(f"--sizes needs integers >= 2, got {args.sizes!r}")
+        got = ",".join(_short(s) for s in args.sizes.split(","))
+        raise ValueError(f"--sizes needs integers >= 2, got {got!r}")
     if max(sizes) > MAX_STATES:
-        raise ValueError(f"--sizes: n={max(sizes)} exceeds the limit of {MAX_STATES} states")
+        n = _short(str(max(sizes)))
+        raise ValueError(f"--sizes: n={n} exceeds the limit of {MAX_STATES} states")
     if not 0 <= args.degree <= min(sizes):  # the edge probability is degree / n
         raise ValueError(f"--degree must be between 0 and the smallest size, got {args.degree}")
     rows = []

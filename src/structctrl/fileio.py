@@ -316,12 +316,17 @@ def _read_int(token: str, line_no: int) -> int:
     significant digits than MAX_STATES; past 4 300, int() would refuse it with no line."""
     digits = token.lstrip("0")
     if len(digits) > _DIGITS:
-        if len(digits) > 20:  # keep the message one readable line
-            digits = f"{digits[:12]}... ({len(digits)} digits)"
         raise PatternFormatError(
-            f"line {line_no}: dimension {digits} exceeds the limit of {MAX_STATES} states"
+            f"line {line_no}: dimension {_short(digits)} exceeds the limit of {MAX_STATES} states"
         )
     return int(token)
+
+
+def _short(text: str) -> str:
+    """``text`` for a one-line message: past 20 characters, its first 12 and its length."""
+    if len(text) <= 20:
+        return text
+    return f"{text[:12]}... ({len(text)} {'digits' if text.isdigit() else 'characters'})"
 
 
 def _is_digits(token: str) -> bool:
@@ -388,7 +393,7 @@ def gen_random(
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_STATES:
-        raise ValueError(f"n={n} exceeds the limit of {MAX_STATES} states")
+        raise ValueError(f"n={_short(str(n))} exceeds the limit of {MAX_STATES} states")
     rng = random.Random(seed)
     if model == "erdos":
         p = 0.3 if p_edge is None else p_edge

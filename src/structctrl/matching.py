@@ -2,9 +2,11 @@
 
 The influence digraph induces a bipartite graph with one left copy and one
 right copy of the state vertices; digraph edge u -> v becomes bipartite
-edge (u, v).  Right vertices missed by a maximum matching are the roots of
-the state stems in the stem/cycle decomposition, and their count drives
-the input-placement arithmetic in :mod:`structctrl.placement`.
+edge (u, v).  That graph is never built: the digraph's successor lists
+are its left adjacency lists, so every matcher here reads them directly.
+Right vertices missed by a maximum matching are the roots of the state
+stems in the stem/cycle decomposition, and their count drives the
+input-placement arithmetic in :mod:`structctrl.placement`.
 
 Maximum matchings come from one Hopcroft-Karp engine, ``solve_matching``,
 which can be seeded with any valid matching and only augments it.  The
@@ -29,30 +31,6 @@ from typing import Iterable, Sequence
 from .graph_core import SystemDigraph
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    left_size: int
-    right_size: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.left_size < 0 or self.right_size < 0:
-            raise ValueError("partition sizes must be non-negative")
-        for u, v in self.edges:
-            if not (0 <= u < self.left_size and 0 <= v < self.right_size):
-                raise ValueError(f"edge ({u}, {v}) outside bipartite vertex ranges")
-
-    def left_adjacency(self) -> list[list[int]]:
-        """Sorted left adjacency lists."""
-        adj: list[list[int]] = [[] for _ in range(self.left_size)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        for lst in adj:
-            lst.sort()
-        return adj
 
 
 @dataclass(frozen=True)
@@ -97,15 +75,11 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], right_size: int) -> Ma
     return Matching(pairs, tuple(v for v in range(right_size) if v not in covered))
 
 
-def to_state_bipartite(g: SystemDigraph) -> BipartiteGraph:
-    """Left and right copies of the state set; digraph edge u -> v becomes (u, v)."""
-    return BipartiteGraph(g.n, g.n, ((u, v) for u, vs in enumerate(g.successors()) for v in vs))
-
-
 # ---------------------------------------------------------------------------
-# Hopcroft-Karp engine.  Shared by maximum_matching and by the placement
-# pipeline (which seeds it with a Karp-Sipser start or an existing
-# matching, and adds auxiliary left vertices).
+# Hopcroft-Karp engine.  Shared by maximum_matching (cold, on the
+# digraph's successor lists) and by the placement pipeline (which seeds it
+# with a Karp-Sipser start or an existing matching, and adds auxiliary
+# left vertices).
 # match_l / match_r use -1 for "unmatched".
 # ---------------------------------------------------------------------------
 
@@ -257,9 +231,9 @@ def _augment(root, adj, match_l, match_r, dist, dist_free, ptr) -> bool:
     return False
 
 
-def maximum_matching(bg: BipartiteGraph) -> Matching:
-    """Deterministic maximum matching of ``bg``."""
-    ml, mr, _ = solve_matching(bg.left_adjacency(), bg.right_size)
+def maximum_matching(g: SystemDigraph) -> Matching:
+    """Deterministic maximum matching of the state bipartite graph of ``g``."""
+    ml, mr, _ = solve_matching(g.successors(), g.n)
     pairs = frozenset((l, r) for l, r in enumerate(ml) if r != -1)
     return Matching(pairs, tuple(r for r, l in enumerate(mr) if l == -1))
 

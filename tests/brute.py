@@ -11,6 +11,26 @@ from structctrl import StructPattern
 from structctrl.fileio import MAX_STATES, PatternFormatError
 
 
+class BipartiteGraph:
+    """An explicit bipartite edge set, for the exhaustive searches below."""
+
+    def __init__(self, left_size, right_size, edges):
+        self.left_size, self.right_size = left_size, right_size
+        self.edges = frozenset(edges)
+
+    def left_adjacency(self):
+        """Sorted right-neighbour lists per left vertex."""
+        adj = [[] for _ in range(self.left_size)]
+        for u, v in sorted(self.edges):
+            adj[u].append(v)
+        return adj
+
+
+def to_state_bipartite(g):
+    """Left and right copies of the state set; digraph edge u -> v becomes (u, v)."""
+    return BipartiteGraph(g.n, g.n, ((u, v) for u, vs in enumerate(g.successors()) for v in vs))
+
+
 def bip_edges(bg):
     return sorted(bg.edges)
 

@@ -26,9 +26,13 @@ from structctrl import (
     natural_partitions,
     numeric_cross_check,
     stem_cycle_decomposition,
+)
+from brute import (
+    all_matchings,
+    random_pattern,
+    random_strongly_connected_pattern,
     to_state_bipartite,
 )
-from brute import all_matchings, random_pattern, random_strongly_connected_pattern
 
 SYNC6 = StructPattern(
     6, 6,
@@ -129,7 +133,7 @@ def test_criterion_5_strongly_connected_shortcut():
         g = build_digraph(a)
         s = min_dedicated_inputs(g)
         assert s.beta == 1
-        m_star = maximum_matching(to_state_bipartite(g))
+        m_star = maximum_matching(g)
         if m_star.size == g.n:
             assert s.p == 1
             perfect += 1
@@ -151,8 +155,7 @@ def test_criterion_6_stem_cycle_decompositions():
     for _ in range(1000):
         n = rng.randint(1, 8)
         g = build_digraph(random_pattern(rng, n, rng.uniform(0.05, 1.0)))
-        bg = to_state_bipartite(g)
-        m = maximum_matching(bg)
+        m = maximum_matching(g)
         d = stem_cycle_decomposition(g, m)
         pieces = list(d.stems) + list(d.cycles)
         flat = [v for piece in pieces for v in piece]
@@ -165,7 +168,7 @@ def test_criterion_6_stem_cycle_decompositions():
         n = rng.randint(1, 5)
         g = build_digraph(random_pattern(rng, n, rng.uniform(0.1, 1.0)))
         bg = to_state_bipartite(g)
-        min_stems = n - maximum_matching(bg).size
+        min_stems = n - maximum_matching(g).size
         for pairs in all_matchings(bg):
             d = stem_cycle_decomposition(g, matching_from_pairs(pairs, n))
             assert len(d.stems) >= min_stems

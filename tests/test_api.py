@@ -31,7 +31,6 @@ PUBLIC = [
     "numeric_cross_check",
     "parse_pattern",
     "stem_cycle_decomposition",
-    "to_state_bipartite",
     "write_pattern",
 ]
 

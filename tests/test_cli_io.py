@@ -869,6 +869,18 @@ def test_cli_long_number_error_is_one_short_line(tmp_path, capsys, name):
     assert where.split(":")[0] in lines[0] and "(5000 digits)" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "1," + "9" * 5000],
+    ["bench", "--sizes", "9" * 4000],
+    ["gen", "erdos", "9" * 4000],
+])
+def test_cli_long_size_argument_error_is_one_short_line(capsys, argv):
+    assert run_cli(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
+    assert "999999999999... (" in lines[0] and " digits)" in lines[0]
+
+
 PARSE_PIECES = [
     *"0123456789", " ", "\t", "\n", "#", "%", "-", ".", "e", "n", "shape", "x", "\u00b2",
     "\u0663", "9" * 9, LONG, "%%MatrixMarket matrix coordinate pattern general\n",

@@ -7,16 +7,18 @@ from structctrl import (
     matching_from_pairs,
     maximum_matching,
     stem_cycle_decomposition,
-    to_state_bipartite,
 )
+from structctrl import matching
 from structctrl.graph_core import SystemDigraph
-from structctrl.matching import BipartiteGraph, Matching, karp_sipser, solve_matching
+from structctrl.matching import Matching, karp_sipser, solve_matching
 from structctrl.placement import _avoidable, min_dedicated_inputs
 from brute import (
+    BipartiteGraph,
     all_matchings,
     all_unmatched_sets,
     brute_max_matching_size,
     random_pattern,
+    to_state_bipartite,
 )
 
 
@@ -28,6 +30,7 @@ def test_to_state_bipartite_worked_example(sync6_graph):
     bg = to_state_bipartite(sync6_graph)
     assert bg.left_size == bg.right_size == 6
     assert len(bg.edges) == 10
+    assert bg.left_adjacency() == sync6_graph.successors()
 
 
 def test_to_state_bipartite_edgeless():
@@ -48,24 +51,22 @@ def test_matching_rejects_shared_vertices():
 
 
 def test_maximum_matching_worked_example(sync6_graph):
-    bg = to_state_bipartite(sync6_graph)
-    m = maximum_matching(bg)
+    m = maximum_matching(sync6_graph)
     assert m.size == 4
     assert len(m.right_unmatched) == 2
-    assert m.pairs <= bg.edges
+    assert m.pairs <= to_state_bipartite(sync6_graph).edges
     # deterministic for a fixed input
-    assert maximum_matching(bg) == m
+    assert maximum_matching(sync6_graph) == m
 
 
 def test_maximum_matching_empty_edges():
-    m = maximum_matching(BipartiteGraph(3, 3, frozenset()))
+    m = maximum_matching(SystemDigraph(3, frozenset()))
     assert m.size == 0
     assert m.right_unmatched == (0, 1, 2)
 
 
 def test_maximum_matching_path():
-    bg = BipartiteGraph(3, 3, {(0, 1), (1, 2)})
-    m = maximum_matching(bg)
+    m = maximum_matching(SystemDigraph(3, {(0, 1), (1, 2)}))
     assert m.pairs == frozenset({(0, 1), (1, 2)})
     assert m.right_unmatched == (0,)
 
@@ -73,11 +74,35 @@ def test_maximum_matching_path():
 def test_maximum_matching_agrees_with_exhaustive_search():
     rng = random.Random(21)
     for _ in range(80):
-        bg = _random_bipartite(rng, rng.randint(1, 6), rng.random())
-        m = maximum_matching(bg)
+        g = build_digraph(random_pattern(rng, rng.randint(1, 6), rng.random()))
+        bg = to_state_bipartite(g)
+        m = maximum_matching(g)
         assert m.size == brute_max_matching_size(bg)
         covered = {r for _, r in m.pairs}
         assert set(m.right_unmatched) == set(range(bg.right_size)) - covered
+
+
+def test_maximum_matching_equals_hopcroft_karp_on_the_explicit_edge_set():
+    # The digraph's successor lists are the sorted, duplicate-free rows of
+    # its state bipartite graph, so the matching is the one HK finds there.
+    rng = random.Random(24)
+    graphs = [SystemDigraph(0, ()), SystemDigraph(3, ()), SystemDigraph(1, {(0, 0)})]
+    while len(graphs) < 520:
+        g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random()))
+        graphs += [g, g.reversed()]
+    for g in graphs:
+        bg = to_state_bipartite(g)
+        ml, mr, _ = solve_matching(bg.left_adjacency(), bg.right_size)
+        expected = Matching(
+            frozenset((l, r) for l, r in enumerate(ml) if r != -1),
+            tuple(r for r, l in enumerate(mr) if l == -1),
+        )
+        assert maximum_matching(g) == expected
+
+
+def test_matching_module_keeps_no_second_edge_representation():
+    assert not hasattr(matching, "BipartiteGraph")
+    assert not hasattr(matching, "to_state_bipartite")
 
 
 def _random_rectangular(rng):
@@ -133,7 +158,7 @@ def test_karp_sipser_seed_keeps_the_counts_of_an_unseeded_witness():
     for _ in range(200):
         g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5))
         ks = min_dedicated_inputs(g)
-        hk = min_dedicated_inputs(g, matching=maximum_matching(to_state_bipartite(g)))
+        hk = min_dedicated_inputs(g, matching=maximum_matching(g))
         assert (ks.m, ks.beta, ks.alpha, ks.p) == (hk.m, hk.beta, hk.alpha, hk.p)
 
 
@@ -219,7 +244,8 @@ def test_stem_cycle_properties_random_matchings():
     for _ in range(80):
         g = build_digraph(random_pattern(rng, rng.randint(1, 6), rng.random()))
         bg = to_state_bipartite(g)
-        _assert_decomposition_ok(g, maximum_matching(bg), stem_cycle_decomposition(g, maximum_matching(bg)))
+        m_star = maximum_matching(g)
+        _assert_decomposition_ok(g, m_star, stem_cycle_decomposition(g, m_star))
         # also non-maximum matchings
         candidates = all_matchings(bg)
         for pairs in rng.sample(candidates, min(5, len(candidates))):
@@ -234,7 +260,7 @@ def test_no_spanning_decomposition_has_fewer_stems():
     for _ in range(40):
         g = build_digraph(random_pattern(rng, rng.randint(1, 5), rng.random()))
         bg = to_state_bipartite(g)
-        m_star = maximum_matching(bg)
+        m_star = maximum_matching(g)
         min_stems = g.n - m_star.size
         for pairs in all_matchings(bg):
             d = stem_cycle_decomposition(g, matching_from_pairs(pairs, g.n))

@@ -22,19 +22,20 @@ from structctrl import (
     natural_partitions,
     parse_pattern,
     stem_cycle_decomposition,
-    to_state_bipartite,
 )
 from structctrl.graph_core import SystemDigraph, strongly_connected_components
 from structctrl import placement
-from structctrl.matching import BipartiteGraph, solve_matching
+from structctrl.matching import solve_matching
 from structctrl.placement import max_assignability_index
 from brute import (
+    BipartiteGraph,
     all_maximum_matchings,
     all_unmatched_sets,
     brute_alpha,
     brute_max_matching_size,
     random_pattern,
     random_strongly_connected_pattern,
+    to_state_bipartite,
 )
 
 STAR = StructPattern(3, 3, {(1, 0), (2, 0)})  # x1 -> x2, x1 -> x3
@@ -116,20 +117,20 @@ def test_summary_invariants_random():
 
 
 def test_assignable_vertices_worked_example(sync6_graph):
-    m0 = maximum_matching(to_state_bipartite(sync6_graph))
+    m0 = maximum_matching(sync6_graph)
     s = min_dedicated_inputs(sync6_graph, matching=m0)
     assert s.assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_path():
     g = build_digraph(PATH3)
-    m0 = maximum_matching(to_state_bipartite(g))
+    m0 = maximum_matching(g)
     assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_two_cycle_perfect_match():
     g = SystemDigraph(2, {(0, 1), (1, 0)})
-    m0 = maximum_matching(to_state_bipartite(g))
+    m0 = maximum_matching(g)
     assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset()
 
 
@@ -481,10 +482,9 @@ def test_strongly_connected_shortcut():
     for _ in range(60):
         a = random_strongly_connected_pattern(rng, rng.randint(1, 8), rng.random() * 0.4)
         g = build_digraph(a)
-        bg = to_state_bipartite(g)
         s = min_dedicated_inputs(g)
         assert s.beta == 1
-        m_star = maximum_matching(bg)
+        m_star = maximum_matching(g)
         if m_star.size == g.n:
             assert s.p == 1
         else:
