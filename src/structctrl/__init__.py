@@ -1,7 +1,6 @@
 """Minimal dedicated input/output placement for structurally controllable LTI systems."""
 
 from .graph_core import StructPattern, build_digraph
-from .matching import matching_from_pairs, maximum_matching, stem_cycle_decomposition
 from .oracle import brute_force_minimum, is_structurally_controllable, numeric_cross_check
 from .placement import (
     design_inputs,
@@ -30,12 +29,9 @@ __all__ = [
     "gen_random",
     "generate_configuration",
     "is_structurally_controllable",
-    "matching_from_pairs",
-    "maximum_matching",
     "min_dedicated_inputs",
     "natural_partitions",
     "numeric_cross_check",
     "parse_pattern",
-    "stem_cycle_decomposition",
     "write_pattern",
 ]

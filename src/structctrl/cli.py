@@ -52,6 +52,14 @@ MAX_TRIAL_STATES = 1_000
 MAX_TRIALS = 20
 
 
+def _int(text: str) -> int:
+    """``int`` for an option value; an over-long value is shortened in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_short(text)!r}") from None
+
+
 def _one_based(states) -> list[int]:
     return [s + 1 for s in sorted(states)]
 
@@ -198,7 +206,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not 0 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must be between 0 and {MAX_TRIALS}, got {args.trials}")
+        got = _short(str(args.trials))
+        raise ValueError(f"--trials must be between 0 and {MAX_TRIALS}, got {got}")
     a = parse_pattern(args.a_file, args.input_format)
     if args.trials and a.n_rows > MAX_TRIAL_STATES:
         raise ValueError(
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override extension-based file format detection",
         )
         if with_limit:
-            p.add_argument("--limit", type=int, default=10_000)
+            p.add_argument("--limit", type=_int, default=10_000)
 
     p = sub.add_parser("analyze", help="report m, beta, alpha and p for a state pattern")
     p.add_argument("file")
@@ -349,21 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle check of an (A, B) pattern pair")
     p.add_argument("a_file")
     p.add_argument("b_file")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_int, default=0,
                    help="also compute the exact Kalman rank over GF(2^61-1) of up to "
                         f"this many random realizations (at most {MAX_TRIALS}), stopping at "
                         f"the first of full rank; needs n <= {MAX_TRIAL_STATES}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random pattern")
     p.add_argument("model", choices=("erdos", "scalefree", "banded"))
-    p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("n", type=_int)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--p-edge", type=float, default=None, dest="p_edge")
-    p.add_argument("--attach", type=int, default=None)
-    p.add_argument("--band", type=int, default=None)
+    p.add_argument("--attach", type=_int, default=None)
+    p.add_argument("--band", type=_int, default=None)
     p.add_argument("--fill", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--output-format", choices=FORMATS, default=None)
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time analyze across sizes and fit the exponent")
     p.add_argument("--sizes", default="1000,10000,50000")
     p.add_argument("--degree", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     common(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -404,7 +404,7 @@ def gen_random(
     elif model == "scalefree":
         k = 2 if attach is None else attach
         if k < 1:
-            raise ValueError(f"attach must be at least 1, got {k}")
+            raise ValueError(f"attach must be at least 1, got {_short(str(k))}")
         nonzeros = set()
         indeg = [1] * n  # +1 smoothing so isolated vertices stay reachable
         for v in range(1, n):
@@ -421,7 +421,7 @@ def gen_random(
         w = 1 if band is None else band
         f = 0.5 if fill is None else fill
         if w < 0:
-            raise ValueError(f"band must be non-negative, got {w}")
+            raise ValueError(f"band must be non-negative, got {_short(str(w))}")
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fill must be in [0, 1], got {f}")
         nonzeros = {

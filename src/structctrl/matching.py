@@ -4,8 +4,7 @@ The influence digraph induces a bipartite graph with one left copy and one
 right copy of the state vertices; digraph edge u -> v becomes bipartite
 edge (u, v).  That graph is never built: the digraph's successor lists
 are its left adjacency lists, so every matcher here reads them directly.
-Right vertices missed by a maximum matching are the roots of the state
-stems in the stem/cycle decomposition, and their count drives the
+The number of right vertices a maximum matching misses drives the
 input-placement arithmetic in :mod:`structctrl.placement`.
 
 Maximum matchings come from one Hopcroft-Karp engine, ``solve_matching``,
@@ -25,61 +24,15 @@ the same matching.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from .graph_core import SystemDigraph
+from typing import Sequence
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A conflict-free set of bipartite edges plus the uncovered right vertices."""
-
-    pairs: frozenset[tuple[int, int]]
-    right_unmatched: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        object.__setattr__(self, "right_unmatched", tuple(sorted(self.right_unmatched)))
-        lefts = [u for u, _ in self.pairs]
-        rights = [v for _, v in self.pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-            raise ValueError("matching edges share a vertex")
-        if set(rights) & set(self.right_unmatched):
-            raise ValueError("right_unmatched overlaps matched right vertices")
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class StemCycleDecomposition:
-    """Vertex-disjoint stems and cycles spanning the digraph.
-
-    Each stem is a directed path whose first vertex is its root; each cycle
-    is listed starting from its smallest vertex.  Isolated or uncovered
-    vertices appear as length-1 stems.
-    """
-
-    stems: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-
-def matching_from_pairs(pairs: Iterable[tuple[int, int]], right_size: int) -> Matching:
-    """Build a Matching, deriving the uncovered right vertices from ``right_size``."""
-    pairs = frozenset(pairs)
-    covered = {v for _, v in pairs}
-    return Matching(pairs, tuple(v for v in range(right_size) if v not in covered))
-
-
 # ---------------------------------------------------------------------------
-# Hopcroft-Karp engine.  Shared by maximum_matching (cold, on the
-# digraph's successor lists) and by the placement pipeline (which seeds it
-# with a Karp-Sipser start or an existing matching, and adds auxiliary
-# left vertices).
+# Hopcroft-Karp engine.  The placement pipeline seeds it with a
+# Karp-Sipser start or a caller's witness, and again with the witness plus
+# one auxiliary left vertex per source SCC to absorb.
 # match_l / match_r use -1 for "unmatched".
 # ---------------------------------------------------------------------------
 
@@ -229,59 +182,3 @@ def _augment(root, adj, match_l, match_r, dist, dist_free, ptr) -> bool:
             if chosen:
                 chosen.pop()
     return False
-
-
-def maximum_matching(g: SystemDigraph) -> Matching:
-    """Deterministic maximum matching of the state bipartite graph of ``g``."""
-    ml, mr, _ = solve_matching(g.successors(), g.n)
-    pairs = frozenset((l, r) for l, r in enumerate(ml) if r != -1)
-    return Matching(pairs, tuple(r for r, l in enumerate(mr) if l == -1))
-
-
-def stem_cycle_decomposition(g: SystemDigraph, m: Matching) -> StemCycleDecomposition:
-    """Split a matching of the state bipartite graph into stems and cycles.
-
-    Matching edges chain into maximal paths; a chain starting at an
-    uncovered right vertex is a stem rooted there, a closed chain is a
-    cycle.  Vertices touched by no matching edge become length-1 stems.
-    The pieces are vertex-disjoint and jointly cover every vertex, and the
-    number of stems always equals the number of uncovered right vertices.
-    """
-    adj = g.successors()
-    successor: dict[int, int] = {}
-    for u, v in m.pairs:
-        if not (0 <= u < g.n and v in adj[u]):
-            raise ValueError(f"matching edge ({u}, {v}) is not a digraph edge")
-        successor[u] = v
-
-    covered_right = {v for _, v in m.pairs}
-    roots = [v for v in range(g.n) if v not in covered_right]
-
-    visited = [False] * g.n
-    stems = []
-    for root in roots:
-        path = [root]
-        visited[root] = True
-        cur = root
-        while cur in successor:
-            cur = successor[cur]
-            path.append(cur)
-            visited[cur] = True
-        stems.append(tuple(path))
-
-    cycles = []
-    for v in range(g.n):
-        if visited[v]:
-            continue
-        # Anything left is right-covered with an outgoing matched edge, so
-        # following successors from v must close a cycle.
-        cycle = [v]
-        visited[v] = True
-        cur = successor[v]
-        while cur != v:
-            cycle.append(cur)
-            visited[cur] = True
-            cur = successor[cur]
-        cycles.append(tuple(cycle))
-
-    return StemCycleDecomposition(tuple(stems), tuple(cycles))

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graph_core import (
     Condensation,
@@ -53,7 +53,7 @@ from .graph_core import (
     build_digraph,
     strongly_connected_components,
 )
-from .matching import Matching, karp_sipser, solve_matching
+from .matching import karp_sipser, solve_matching
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,20 +170,27 @@ def _roots(match_r: Sequence[int], n: int) -> list[int]:
     return [r for r in range(n) if not 0 <= match_r[r] < n]
 
 
-def _validate_witness(g: SystemDigraph, m: Matching) -> tuple[list[int], list[int], int]:
-    """Match arrays of a caller's matching, checked to be a maximum one."""
+def _validate_witness(
+    g: SystemDigraph, pairs: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int], int]:
+    """Match arrays of a caller's (left, right) pairs, checked to be a
+    maximum matching of ``g``; its size is the number of pairs."""
     adj = g.successors()
     ml = [-1] * g.n
     mr = [-1] * g.n
-    for l, r in m.pairs:
+    size = 0
+    for l, r in pairs:
         if not (0 <= l < g.n and r in adj[l]):
             raise ValueError(f"witness matching edge ({l}, {r}) is not a digraph edge")
+        if ml[l] != -1 or mr[r] != -1:
+            raise ValueError(f"witness matching edge ({l}, {r}) shares a vertex with another")
         ml[l] = r
         mr[r] = l
+        size += 1
     _, _, after = solve_matching(adj, g.n, list(ml), list(mr))
-    if after != m.size:
+    if after != size:
         raise ValueError("witness matching is not maximum")
-    return ml, mr, m.size
+    return ml, mr, size
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +199,16 @@ def _validate_witness(g: SystemDigraph, m: Matching) -> tuple[list[int], list[in
 
 
 def min_dedicated_inputs(
-    g: SystemDigraph, matching: Matching | None = None
+    g: SystemDigraph, matching: Iterable[tuple[int, int]] | None = None
 ) -> PlacementSummary:
     """Minimum number of dedicated inputs for structural controllability.
 
-    Optionally seeded with a specific maximum matching; without one, the
-    witness is Hopcroft-Karp started from :func:`karp_sipser`.  The counts
-    (m, beta, alpha, p) do not depend on the witness, but the
-    witness-relative artifacts (assignable vertices, slot order of the
-    partitions, the default placement) do.
+    Optionally seeded with a specific maximum matching as ``(left, right)``
+    pairs (a non-edge, a shared vertex or a non-maximum set raises
+    ``ValueError``); without one, the witness is Hopcroft-Karp started from
+    :func:`karp_sipser`.  The counts (m, beta, alpha, p) do not depend on
+    the witness, but the witness-relative artifacts (assignable vertices,
+    slot order of the partitions, the default placement) do.
     """
     if g.n == 0:
         raise ValueError("the system must have at least one state vertex")

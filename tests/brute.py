@@ -1,14 +1,21 @@
-"""Brute-force reference implementations used as test oracles.
+"""Reference implementations and helpers used by the tests.
 
-Everything here enumerates exhaustively and is independent of the library's
-augmenting-path machinery: matchings are built edge subset by edge subset.
-Small n only.
+The searches below enumerate exhaustively and are independent of the
+library's augmenting-path machinery: matchings are built edge subset by
+edge subset.  Small n only.  ``Matching``, ``maximum_matching`` and Lin's
+stem/cycle decomposition are not brute force: they give the tests a
+matching as a pair set and the stems and cycles it splits into, which
+no pipeline stage needs.
 """
 
 import warnings
+from dataclasses import dataclass
+from typing import Iterable
 
 from structctrl import StructPattern
 from structctrl.fileio import MAX_STATES, PatternFormatError
+from structctrl.graph_core import SystemDigraph
+from structctrl.matching import solve_matching
 
 
 class BipartiteGraph:
@@ -29,6 +36,104 @@ class BipartiteGraph:
 def to_state_bipartite(g):
     """Left and right copies of the state set; digraph edge u -> v becomes (u, v)."""
     return BipartiteGraph(g.n, g.n, ((u, v) for u, vs in enumerate(g.successors()) for v in vs))
+
+
+@dataclass(frozen=True)
+class Matching:
+    """A conflict-free set of bipartite edges plus the uncovered right vertices."""
+
+    pairs: frozenset[tuple[int, int]]
+    right_unmatched: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        object.__setattr__(self, "right_unmatched", tuple(sorted(self.right_unmatched)))
+        lefts = [u for u, _ in self.pairs]
+        rights = [v for _, v in self.pairs]
+        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+            raise ValueError("matching edges share a vertex")
+        if set(rights) & set(self.right_unmatched):
+            raise ValueError("right_unmatched overlaps matched right vertices")
+
+    @property
+    def size(self) -> int:
+        return len(self.pairs)
+
+
+@dataclass(frozen=True)
+class StemCycleDecomposition:
+    """Vertex-disjoint stems and cycles spanning the digraph.
+
+    Each stem is a directed path whose first vertex is its root; each cycle
+    is listed starting from its smallest vertex.  Isolated or uncovered
+    vertices appear as length-1 stems.
+    """
+
+    stems: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+
+def matching_from_pairs(pairs: Iterable[tuple[int, int]], right_size: int) -> Matching:
+    """Build a Matching, deriving the uncovered right vertices from ``right_size``."""
+    pairs = frozenset(pairs)
+    covered = {v for _, v in pairs}
+    return Matching(pairs, tuple(v for v in range(right_size) if v not in covered))
+
+
+def maximum_matching(g: SystemDigraph) -> Matching:
+    """Deterministic maximum matching of the state bipartite graph of ``g``."""
+    ml, mr, _ = solve_matching(g.successors(), g.n)
+    pairs = frozenset((l, r) for l, r in enumerate(ml) if r != -1)
+    return Matching(pairs, tuple(r for r, l in enumerate(mr) if l == -1))
+
+
+def stem_cycle_decomposition(g: SystemDigraph, m: Matching) -> StemCycleDecomposition:
+    """Split a matching of the state bipartite graph into stems and cycles.
+
+    Matching edges chain into maximal paths; a chain starting at an
+    uncovered right vertex is a stem rooted there, a closed chain is a
+    cycle.  Vertices touched by no matching edge become length-1 stems.
+    The pieces are vertex-disjoint and jointly cover every vertex, and the
+    number of stems always equals the number of uncovered right vertices.
+    """
+    adj = g.successors()
+    successor: dict[int, int] = {}
+    for u, v in m.pairs:
+        if not (0 <= u < g.n and v in adj[u]):
+            raise ValueError(f"matching edge ({u}, {v}) is not a digraph edge")
+        successor[u] = v
+
+    covered_right = {v for _, v in m.pairs}
+    roots = [v for v in range(g.n) if v not in covered_right]
+
+    visited = [False] * g.n
+    stems = []
+    for root in roots:
+        path = [root]
+        visited[root] = True
+        cur = root
+        while cur in successor:
+            cur = successor[cur]
+            path.append(cur)
+            visited[cur] = True
+        stems.append(tuple(path))
+
+    cycles = []
+    for v in range(g.n):
+        if visited[v]:
+            continue
+        # Anything left is right-covered with an outgoing matched edge, so
+        # following successors from v must close a cycle.
+        cycle = [v]
+        visited[v] = True
+        cur = successor[v]
+        while cur != v:
+            cycle.append(cur)
+            visited[cur] = True
+            cur = successor[cur]
+        cycles.append(tuple(cycle))
+
+    return StemCycleDecomposition(tuple(stems), tuple(cycles))
 
 
 def bip_edges(bg):

@@ -1,6 +1,7 @@
 import pytest
 
-from structctrl import StructPattern, build_digraph, matching_from_pairs
+from structctrl import StructPattern, build_digraph
+from brute import matching_from_pairs
 
 # The recurring 6-agent synchronization instance (one-based entries
 # (1,1), (2,2), (3,1), (3,2), (3,4), (4,3), (4,5), (4,6), (5,4), (6,4)).

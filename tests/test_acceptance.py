@@ -20,17 +20,17 @@ from structctrl import (
     enumerate_configurations,
     gen_random,
     is_structurally_controllable,
-    matching_from_pairs,
-    maximum_matching,
     min_dedicated_inputs,
     natural_partitions,
     numeric_cross_check,
-    stem_cycle_decomposition,
 )
 from brute import (
     all_matchings,
+    matching_from_pairs,
+    maximum_matching,
     random_pattern,
     random_strongly_connected_pattern,
+    stem_cycle_decomposition,
     to_state_bipartite,
 )
 
@@ -58,8 +58,7 @@ def test_criterion_1_worked_example_counts_and_runtime():
 
 def test_criterion_2_worked_example_partitions_and_configurations():
     g = build_digraph(SYNC6)
-    witness = matching_from_pairs(SYNC6_WITNESS_PAIRS, 6)
-    s = min_dedicated_inputs(g, matching=witness)
+    s = min_dedicated_inputs(g, matching=SYNC6_WITNESS_PAIRS)
     parts = natural_partitions(g, s)
     assert parts == (
         frozenset({0, 1, 2, 4}),  # alternatives for slot of vertex 3 (one-based)

@@ -24,13 +24,10 @@ PUBLIC = [
     "gen_random",
     "generate_configuration",
     "is_structurally_controllable",
-    "matching_from_pairs",
-    "maximum_matching",
     "min_dedicated_inputs",
     "natural_partitions",
     "numeric_cross_check",
     "parse_pattern",
-    "stem_cycle_decomposition",
     "write_pattern",
 ]
 

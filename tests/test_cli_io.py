@@ -881,6 +881,31 @@ def test_cli_long_size_argument_error_is_one_short_line(capsys, argv):
     assert "999999999999... (" in lines[0] and " digits)" in lines[0]
 
 
+SYNC6_PAIR = [str(Path(__file__).parent / "golden" / name) for name in ("sync6.el", "sync6.b.el")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "erdos", "9" * 5000],
+    ["enumerate", SYNC6_PAIR[0], "--limit", "9" * 5000],
+    ["verify", *SYNC6_PAIR, "--seed", "9" * 5000],
+    ["verify", *SYNC6_PAIR, "--trials", "9" * 4000],
+    ["gen", "banded", "5", "--band", "-" + "9" * 4000],
+    ["gen", "scalefree", "5", "--attach", "-" + "9" * 4000],
+])
+def test_cli_long_integer_option_error_ends_on_a_short_line(capsys, argv):
+    assert run_cli(argv) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert len(last) < 200, last
+    assert "999999999999... (" in last or "-99999999999... (" in last
+
+
+def test_cli_short_bad_integer_option_keeps_argparse_wording(capsys):
+    assert run_cli(["gen", "erdos", "abc"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "structctrl gen: error: argument n: invalid int value: 'abc'"
+    )
+
+
 PARSE_PIECES = [
     *"0123456789", " ", "\t", "\n", "#", "%", "-", ".", "e", "n", "shape", "x", "\u00b2",
     "\u0663", "9" * 9, LONG, "%%MatrixMarket matrix coordinate pattern general\n",

@@ -1,23 +1,23 @@
+import inspect
 import random
 
 import pytest
 
-from structctrl import (
-    build_digraph,
-    matching_from_pairs,
-    maximum_matching,
-    stem_cycle_decomposition,
-)
+from structctrl import build_digraph
 from structctrl import matching
 from structctrl.graph_core import SystemDigraph
-from structctrl.matching import Matching, karp_sipser, solve_matching
+from structctrl.matching import karp_sipser, solve_matching
 from structctrl.placement import _avoidable, min_dedicated_inputs
 from brute import (
     BipartiteGraph,
+    Matching,
     all_matchings,
     all_unmatched_sets,
     brute_max_matching_size,
+    matching_from_pairs,
+    maximum_matching,
     random_pattern,
+    stem_cycle_decomposition,
     to_state_bipartite,
 )
 
@@ -43,11 +43,29 @@ def test_to_state_bipartite_self_loop():
     assert bg.edges == frozenset({(0, 0)})
 
 
-def test_matching_rejects_shared_vertices():
-    with pytest.raises(ValueError):
-        Matching(frozenset({(0, 0), (0, 1)}), ())
-    with pytest.raises(ValueError):
-        Matching(frozenset({(0, 1), (2, 1)}), ())
+def test_matching_rejects_shared_vertices(sync6_graph):
+    # Each shared-vertex set has as many pairs as a maximum matching, so
+    # only the shared-vertex check can refuse it.
+    cases = [
+        ([(0, 0), (1, 1), (3, 4), (3, 5)], "shares a vertex"),  # left 3 twice
+        ([(0, 2), (1, 2), (2, 3), (3, 4)], "shares a vertex"),  # right 2 twice
+        ([(0, 0), (1, 1), (2, 3), (4, 2)], "not a digraph edge"),
+        ([(0, 0), (1, 1), (2, 3)], "not maximum"),
+    ]
+    for pairs, message in cases:
+        for witness in (pairs, set(pairs), frozenset(pairs)):
+            with pytest.raises(ValueError, match=message):
+                min_dedicated_inputs(sync6_graph, matching=witness)
+
+
+@pytest.mark.parametrize("kind", [list, set, frozenset])
+def test_witness_pairs_may_be_any_collection(sync6_graph, sync6_witness, kind):
+    s = min_dedicated_inputs(sync6_graph, matching=kind(sync6_witness.pairs))
+    assert (s.m, s.beta, s.alpha, s.p) == (2, 2, 1, 3)
+    assert s.witness == ((0, 1, 3, 4, -1, -1), (0, 1, -1, 2, 3, -1))
+    assert s.absorbed == ((2, 1, 3, 4, -1, -1, 0, -1), (6, 1, 0, 2, 3, -1))
+    assert s.assignable_vertices == frozenset({0})
+    assert s.open_sccs == frozenset()
 
 
 def test_maximum_matching_worked_example(sync6_graph):
@@ -105,6 +123,14 @@ def test_matching_module_keeps_no_second_edge_representation():
     assert not hasattr(matching, "to_state_bipartite")
 
 
+def test_matching_module_keeps_only_the_engine():
+    for name in ("Matching", "StemCycleDecomposition", "matching_from_pairs",
+                 "maximum_matching", "stem_cycle_decomposition"):
+        assert not hasattr(matching, name)
+    assert not [v for v in vars(matching).values()
+                if inspect.isclass(v) and v.__module__ == matching.__name__]
+
+
 def _random_rectangular(rng):
     n_left, n_right = rng.randint(0, 6), rng.randint(0, 6)
     density = rng.choice((0.15, 0.3, rng.random()))
@@ -158,7 +184,7 @@ def test_karp_sipser_seed_keeps_the_counts_of_an_unseeded_witness():
     for _ in range(200):
         g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random() * 0.5))
         ks = min_dedicated_inputs(g)
-        hk = min_dedicated_inputs(g, matching=maximum_matching(g))
+        hk = min_dedicated_inputs(g, matching=maximum_matching(g).pairs)
         assert (ks.m, ks.beta, ks.alpha, ks.p) == (hk.m, hk.beta, hk.alpha, hk.p)
 
 

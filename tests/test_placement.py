@@ -16,12 +16,9 @@ from structctrl import (
     gen_random,
     generate_configuration,
     is_structurally_controllable,
-    matching_from_pairs,
-    maximum_matching,
     min_dedicated_inputs,
     natural_partitions,
     parse_pattern,
-    stem_cycle_decomposition,
 )
 from structctrl.graph_core import SystemDigraph, strongly_connected_components
 from structctrl import placement
@@ -33,8 +30,11 @@ from brute import (
     all_unmatched_sets,
     brute_alpha,
     brute_max_matching_size,
+    matching_from_pairs,
+    maximum_matching,
     random_pattern,
     random_strongly_connected_pattern,
+    stem_cycle_decomposition,
     to_state_bipartite,
 )
 
@@ -71,7 +71,7 @@ def test_min_inputs_rejects_empty_graph():
 
 def test_min_inputs_rejects_non_maximum_seed(sync6_graph):
     with pytest.raises(ValueError, match="not maximum"):
-        min_dedicated_inputs(sync6_graph, matching=matching_from_pairs({(0, 0)}, 6))
+        min_dedicated_inputs(sync6_graph, matching={(0, 0)})
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_min_inputs_rejects_non_maximum_seed(sync6_graph):
 def test_witness_pairs_must_be_digraph_edges(sync6_graph, bad_pair):
     m = matching_from_pairs({(0, 0), (1, 1), bad_pair}, 6)
     with pytest.raises(ValueError, match="not a digraph edge"):
-        min_dedicated_inputs(sync6_graph, matching=m)
+        min_dedicated_inputs(sync6_graph, matching=m.pairs)
     with pytest.raises(ValueError, match="not a digraph edge"):
         stem_cycle_decomposition(sync6_graph, m)
 
@@ -118,20 +118,20 @@ def test_summary_invariants_random():
 
 def test_assignable_vertices_worked_example(sync6_graph):
     m0 = maximum_matching(sync6_graph)
-    s = min_dedicated_inputs(sync6_graph, matching=m0)
+    s = min_dedicated_inputs(sync6_graph, matching=m0.pairs)
     assert s.assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_path():
     g = build_digraph(PATH3)
     m0 = maximum_matching(g)
-    assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset({0})
+    assert min_dedicated_inputs(g, matching=m0.pairs).assignable_vertices == frozenset({0})
 
 
 def test_assignable_vertices_two_cycle_perfect_match():
     g = SystemDigraph(2, {(0, 1), (1, 0)})
     m0 = maximum_matching(g)
-    assert min_dedicated_inputs(g, matching=m0).assignable_vertices == frozenset()
+    assert min_dedicated_inputs(g, matching=m0.pairs).assignable_vertices == frozenset()
 
 
 def test_assignment_edges_worked_example(sync6_graph):
@@ -207,7 +207,7 @@ def test_alpha_matches_exhaustive_maximum():
 
 
 def test_partitions_worked_example_with_textbook_witness(sync6_graph, sync6_witness):
-    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
+    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness.pairs)
     parts = natural_partitions(sync6_graph, s)
     assert s.m == 2
     assert parts == (
@@ -270,7 +270,7 @@ def test_witness_is_the_matching_the_counts_were_read_off():
         bg = to_state_bipartite(g)
         for pairs in all_maximum_matchings(bg):
             m = matching_from_pairs(pairs, g.n)
-            s = min_dedicated_inputs(g, matching=m)
+            s = min_dedicated_inputs(g, matching=m.pairs)
             ml, mr = s.witness
             assert len(ml) == len(mr) == g.n
             assert {(l, r) for l, r in enumerate(ml) if r != -1} == m.pairs
@@ -296,7 +296,7 @@ def test_generate_worked_example_lowest_index(sync6_graph, sync6_witness):
     # state 0.  So the unmatched states {0, 5} hit one source SCC, and the
     # lowest member of the other, state 1, is added: {0, 1, 5}.  (Taking
     # SCC {1} first leaves {1, 5} unmatched and adds state 0: the same set.)
-    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
+    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness.pairs)
     config = generate_configuration(sync6_graph, s)
     assert config == frozenset({0, 1, 5})
 
@@ -324,7 +324,7 @@ def test_generate_is_the_first_enumerated_placement():
 def test_generate_runs_no_matching(sync6_graph, sync6_witness, monkeypatch):
     # The summary keeps the absorbed matching, so the default placement is
     # read off it without another matching run.
-    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness)
+    s = min_dedicated_inputs(sync6_graph, matching=sync6_witness.pairs)
 
     def broken(*args, **kwargs):
         raise AssertionError("solve_matching called")
@@ -433,7 +433,7 @@ def test_pipeline_is_witness_independent():
         base = min_dedicated_inputs(g)
         truth = enumerate_configurations(g, base, limit=100000).state_sets()
         for pairs in all_maximum_matchings(bg):
-            s = min_dedicated_inputs(g, matching=matching_from_pairs(pairs, g.n))
+            s = min_dedicated_inputs(g, matching=pairs)
             assert (s.m, s.beta, s.alpha, s.p) == (base.m, base.beta, base.alpha, base.p)
             enum = enumerate_configurations(g, s, limit=100000)
             assert enum.state_sets() == truth
