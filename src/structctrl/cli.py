@@ -74,8 +74,8 @@ def _pattern_dict(p: StructPattern) -> dict:
 
 def _summary_dict(summary) -> dict:
     # Schema v1 lists the assignment graph edge by edge, expanded here until
-    # ROADMAP item 3: slot i, the i-th smallest assignable vertex, serves its
-    # own source SCC and every open one.
+    # schema v2 (ROADMAP item 1): slot i, the i-th smallest assignable
+    # vertex, serves its own source SCC and every open one.
     scc_of = summary.condensation.scc_of
     slots = enumerate(sorted(summary.assignable_vertices))
     edges = {(i, j) for i, v in slots for j in (scc_of[v], *summary.open_sccs)}

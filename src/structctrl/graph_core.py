@@ -7,11 +7,13 @@ Everything downstream -- strongly connected components and the source
 components that no other state feeds into -- is computed on that
 influence digraph, which keeps its edges only as adjacency lists.
 
-``build_digraph`` fills the successor lists straight from a pattern's
-entries in one pass, so they share the pattern's int objects, and derives
-the predecessor lists from them; ``SystemDigraph.reversed`` swaps the two
-to give the transposed pattern's digraph.  ``strongly_connected_components``
-is one iterative Tarjan pass that also finds the source components.
+``build_digraph`` is the one place the lists are made: it fills the
+successor lists straight from a pattern's entries, so they share the
+pattern's int objects, sorts each and derives the predecessor lists from
+them.  ``SystemDigraph`` only holds the two lists, and
+``SystemDigraph.reversed`` swaps them to give the transposed pattern's
+digraph.  ``strongly_connected_components`` is one iterative Tarjan pass
+that also finds the source components.
 
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
@@ -19,8 +21,7 @@ happens at the I/O boundary only.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -73,58 +74,18 @@ class StructPattern:
 
 @dataclass(frozen=True)
 class SystemDigraph:
-    """Influence digraph over the state vertices 0..n-1.
+    """Influence digraph over the state vertices 0..n-1, as its adjacency lists.
 
-    ``edges``, any iterable of (u, v) pairs, is read once into sorted
-    successor and predecessor lists; no other copy of it is kept.
-    Self-loops are allowed; a repeated pair is one edge.
+    ``_succ[u]`` lists the successors of u and ``_pred[v]`` the
+    predecessors of v, each ascending and duplicate-free; a self-loop is
+    allowed.  The two lists hold the same edges, and nothing else keeps a
+    copy of them.  ``build_digraph`` makes them from a pattern and
+    ``reversed`` swaps them; this class only holds them.
     """
 
     n: int
-    edges: InitVar[Iterable[tuple[int, int]]]
-    _succ: list[list[int]] = field(init=False, repr=False, hash=False)
-    _pred: list[list[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, edges: Iterable[tuple[int, int]]) -> None:
-        n = self.n
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            succ[u].append(v)
-        for u, targets in enumerate(succ):
-            if len(targets) > 1:
-                succ[u] = sorted(set(targets))
-        self._set_adjacency(succ)
-
-    @classmethod
-    def _from_successors(cls, n: int, succ: list[list[int]]) -> "SystemDigraph":
-        """A digraph from successor lists that are already ascending,
-        duplicate-free and in range.
-
-        ``build_digraph`` makes such lists straight from a pattern, whose
-        entries are unique and in range, so it skips the checks that the
-        public constructor makes on arbitrary pairs.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        g._set_adjacency(succ)
-        return g
-
-    def _set_adjacency(self, succ: list[list[int]]) -> None:
-        """Keep ``succ`` and derive the predecessor lists from it.
-
-        Walking ascending, duplicate-free successor lists in vertex order
-        gives ascending, duplicate-free predecessor lists.
-        """
-        pred: list[list[int]] = [[] for _ in range(self.n)]
-        for u, targets in enumerate(succ):
-            for v in targets:
-                pred[v].append(u)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+    _succ: list[list[int]] = field(repr=False, hash=False)
+    _pred: list[list[int]] = field(repr=False, compare=False)
 
     def successors(self) -> list[list[int]]:
         """Successor lists (ascending), built once and shared: callers must not mutate them."""
@@ -138,11 +99,7 @@ class SystemDigraph:
         """This digraph with every edge turned round, which is the digraph of
         the transposed pattern: the two lists swap, shared, with no pass over
         the edges."""
-        g = object.__new__(SystemDigraph)
-        object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "_succ", self._pred)
-        object.__setattr__(g, "_pred", self._succ)
-        return g
+        return SystemDigraph(self.n, self._pred, self._succ)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +142,13 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
         succ[j].append(i)
     for targets in succ:
         targets.sort()
-    return SystemDigraph._from_successors(n, succ)
+    # Walking the sorted successor lists in vertex order appends each
+    # predecessor list in ascending order.
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, targets in enumerate(succ):
+        for v in targets:
+            pred[v].append(u)
+    return SystemDigraph(n, succ, pred)
 
 
 def pattern_of(g: SystemDigraph) -> StructPattern:

@@ -8,12 +8,12 @@ The number of right vertices a maximum matching misses drives the
 input-placement arithmetic in :mod:`structctrl.placement`.
 
 Maximum matchings come from one Hopcroft-Karp engine, ``solve_matching``,
-which can be seeded with any valid matching and only augments it.  The
-placement pipeline seeds it with ``karp_sipser``: vertices with one free
-neighbour are matched first, then the lowest free left vertex takes its
-first free neighbour.  On sparse systems that start is maximum or a few
-augmentations short, so Hopcroft-Karp needs a few short phases instead
-of many long ones from an empty matching.
+which always starts from a seed matching that its caller passes and only
+augments it.  The placement pipeline seeds it with ``karp_sipser``:
+vertices with one free neighbour are matched first, then the lowest free
+left vertex takes its first free neighbour.  On sparse systems that
+start is maximum or a few augmentations short, so Hopcroft-Karp needs a
+few short phases instead of many long ones from an empty matching.
 
 Everything here is deterministic: adjacency lists are sorted, the
 Karp-Sipser queue is first in first out, and augmenting-path searches
@@ -40,23 +40,18 @@ _INF = float("inf")
 def solve_matching(
     adj: Sequence[Sequence[int]],
     n_right: int,
-    match_l: list[int] | None = None,
-    match_r: list[int] | None = None,
+    match_l: list[int],
+    match_r: list[int],
 ) -> tuple[list[int], list[int], int]:
-    """Maximum bipartite matching via Hopcroft-Karp, optionally seeded.
+    """Maximum bipartite matching via Hopcroft-Karp, grown from a seed.
 
-    ``adj`` holds sorted right-neighbor lists per left vertex.  Seed arrays
-    come as a pair (one alone raises ``ValueError``) and must describe a
-    valid matching of ``adj``; the engine only augments, so any seed edge
-    that is never on an augmenting path stays.  Returns the match arrays
-    and the matching size.
+    ``adj`` holds sorted right-neighbor lists per left vertex.  The seed
+    arrays, of lengths ``len(adj)`` and ``n_right``, must describe a valid
+    matching of ``adj`` (all ``-1`` is the empty one).  They are augmented
+    in place, so any seed edge that is never on an augmenting path stays.
+    Returns the match arrays and the matching size.
     """
     n_left = len(adj)
-    if (match_l is None) != (match_r is None):
-        raise ValueError("seed matching needs both match_l and match_r")
-    if match_l is None or match_r is None:
-        match_l = [-1] * n_left
-        match_r = [-1] * n_right
     dist: list[float] = [0.0] * n_left
 
     while True:

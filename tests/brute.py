@@ -33,6 +33,26 @@ class BipartiteGraph:
         return adj
 
 
+def digraph(n, edges):
+    """The SystemDigraph on vertices 0..n-1 with the (u, v) pairs ``edges``.
+
+    Built without ``build_digraph``, so tests can hold the library's
+    digraphs against it: each pair is range-checked, a repeated pair is one
+    edge, and both adjacency lists come out ascending.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    # Sorting by (u, v) fills every successor and predecessor list in order.
+    for u, v in sorted(set(edges)):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        succ[u].append(v)
+        pred[v].append(u)
+    return SystemDigraph(n, succ, pred)
+
+
 def to_state_bipartite(g):
     """Left and right copies of the state set; digraph edge u -> v becomes (u, v)."""
     return BipartiteGraph(g.n, g.n, ((u, v) for u, vs in enumerate(g.successors()) for v in vs))
@@ -82,7 +102,7 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], right_size: int) -> Ma
 
 def maximum_matching(g: SystemDigraph) -> Matching:
     """Deterministic maximum matching of the state bipartite graph of ``g``."""
-    ml, mr, _ = solve_matching(g.successors(), g.n)
+    ml, mr, _ = solve_matching(g.successors(), g.n, [-1] * g.n, [-1] * g.n)
     pairs = frozenset((l, r) for l, r in enumerate(ml) if r != -1)
     return Matching(pairs, tuple(r for r, l in enumerate(mr) if l == -1))
 
@@ -196,7 +216,7 @@ def random_strongly_connected_pattern(rng, n, extra_density=0.2):
     strongly-connected shortcut get exercised.  ``er`` rejection-samples
     plain random digraphs.
     """
-    from structctrl.graph_core import SystemDigraph, strongly_connected_components
+    from structctrl.graph_core import strongly_connected_components
 
     style = rng.choice(("cycle", "hub", "er"))
     for _ in range(300):
@@ -216,7 +236,7 @@ def random_strongly_connected_pattern(rng, n, extra_density=0.2):
                     if rng.random() < d:
                         nz.add((i, j))
         nz |= {(i, j) for i in range(n) for j in range(n) if rng.random() < extra_density}
-        g = SystemDigraph(n, {(j, i) for i, j in nz})
+        g = digraph(n, {(j, i) for i, j in nz})
         if strongly_connected_components(g).n_sccs == 1:
             return StructPattern(n, n, nz)
         style = "er"

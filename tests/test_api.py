@@ -1,6 +1,9 @@
-"""The package root's public surface, the README example, and the no-assert rule."""
+"""The package root's public surface, the README example, the no-assert rule,
+and the names the benchmark's tracer binds."""
 
 import ast
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -66,3 +69,43 @@ def test_cli_startup_does_not_import_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_benchmark_tracer_binds_names_the_library_still_has(monkeypatch, capsys):
+    # perfbench/tracer.py wraps library functions and methods by name; a
+    # library edit that drops one of those names must fail here.  The
+    # tracer is loaded from its file, and no bytecode is written beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    from structctrl import cli, graph_core
+
+    owners = [structctrl] + [
+        importlib.import_module(f"structctrl.{name}") for name in tracer_module.MODULES
+    ]
+    owners += [getattr(graph_core, name) for name in tracer_module.METHODS]
+    attrs = {a for names in (*tracer_module.FUNCTIONS.values(), *tracer_module.METHODS.values())
+             for a in names}
+
+    def bindings():
+        return {(owner, a): vars(owner)[a] for owner in owners for a in attrs if a in vars(owner)}
+
+    before = bindings()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        sync6 = str(ROOT / "tests" / "golden" / "sync6.el")
+        assert cli.run_cli(["design-inputs", sync6, "--all", "--format", "json"]) == 0
+        _, roots, problems = tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    json.loads(capsys.readouterr().out)
+    assert problems == [] and roots > 0
+    spans = {tracer.names[i] for i in tracer.name_ids}
+    assert {"graph_core.build_digraph", "graph_core.SystemDigraph.__init__",
+            "matching.solve_matching"} <= spans
+    assert bindings() == before  # functions compare by identity

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from structctrl.placement import (
     generate_configuration,
     min_dedicated_inputs,
 )
-from brute import brute_condensation, random_pattern
+from brute import brute_condensation, digraph, random_pattern
 
 
 def test_build_digraph_worked_example(sync6_graph):
@@ -34,13 +35,13 @@ def test_build_digraph_shift_pattern_is_path():
 
 
 def test_digraph_keeps_only_its_adjacency():
-    g = SystemDigraph(3, iter([(1, 2), (0, 1), (1, 2), (0, 0)]))
+    g = digraph(3, iter([(1, 2), (0, 1), (1, 2), (0, 0)]))
     assert not hasattr(g, "edges")
     assert g.successors() == [[0, 1], [2], []]
     assert g.predecessors() == [[0], [0], [1]]
-    assert g == SystemDigraph(3, {(0, 0), (0, 1), (1, 2)})
-    assert g != SystemDigraph(3, {(0, 0), (0, 1)})
-    assert hash(g) == hash(SystemDigraph(3, {(0, 0), (0, 1), (1, 2)}))
+    assert g == digraph(3, {(0, 0), (0, 1), (1, 2)})
+    assert g != digraph(3, {(0, 0), (0, 1)})
+    assert hash(g) == hash(digraph(3, {(0, 0), (0, 1), (1, 2)}))
 
 
 def test_direct_build_equals_checked_constructor():
@@ -49,7 +50,7 @@ def test_direct_build_equals_checked_constructor():
     patterns += [random_pattern(rng, rng.randint(1, 30), rng.random() * 0.4) for _ in range(200)]
     for p in patterns:
         g = build_digraph(p)
-        checked = SystemDigraph(p.n_rows, ((j, i) for i, j in p.nonzeros))
+        checked = digraph(p.n_rows, ((j, i) for i, j in p.nonzeros))
         assert g == checked
         assert g.successors() == checked.successors()
         assert g.predecessors() == checked.predecessors()
@@ -107,7 +108,7 @@ def test_scc_single_vertex_self_loop():
 
 
 def test_scc_path_three_singletons():
-    g = SystemDigraph(3, {(0, 1), (1, 2)})
+    g = digraph(3, {(0, 1), (1, 2)})
     cond = strongly_connected_components(g)
     assert cond.scc_members == ((0,), (1,), (2,))
     assert cond.non_top_linked == frozenset({0})
@@ -164,7 +165,7 @@ def test_scc_matches_mutual_reachability():
     for _ in range(300):
         n = rng.randint(1, 12)
         density = rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))
-        g = SystemDigraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density])
+        g = digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density])
         cond = strongly_connected_components(g)
         scc_of, sources = brute_condensation(n, g.successors())
         assert cond.scc_of == scc_of
@@ -180,7 +181,7 @@ def test_scc_deep_search_needs_no_recursion(shape):
     edges = [(v, v + 1) for v in range(n - 1)]
     if shape == "cycle":
         edges.append((n - 1, 0))
-    cond = strongly_connected_components(SystemDigraph(n, edges))
+    cond = strongly_connected_components(digraph(n, edges))
     assert cond.non_top_linked == frozenset({0})
     if shape == "cycle":
         assert cond.scc_members == (tuple(range(n)),)
@@ -196,7 +197,7 @@ def test_strongly_connected_graph_single_scc():
         rng.shuffle(perm)
         edges = {(perm[k], perm[(k + 1) % n]) for k in range(n)}
         edges |= {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
-        cond = strongly_connected_components(SystemDigraph(n, edges))
+        cond = strongly_connected_components(digraph(n, edges))
         assert cond.n_sccs == 1
         assert cond.beta == 1
 
@@ -246,9 +247,31 @@ def test_reversed_is_the_digraph_of_the_transpose():
         assert r.reversed() == g
 
 
-def test_digraph_rejects_out_of_range_edges():
+def test_digraph_helper_rejects_out_of_range_edges():
+    # The library builds digraphs from patterns only; the tests' own
+    # constructor keeps the range checks that pairs need.
     for edge in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
         with pytest.raises(ValueError, match="outside vertex range"):
-            SystemDigraph(3, {edge})
+            digraph(3, {edge})
     with pytest.raises(ValueError, match="non-negative"):
-        SystemDigraph(-1, set())
+        digraph(-1, set())
+
+
+def test_digraph_has_one_constructor(monkeypatch):
+    # The generated __init__ takes the vertex count and the two lists, and
+    # both build_digraph and reversed() call it.
+    params = list(inspect.signature(SystemDigraph).parameters)
+    assert params == ["n", "_succ", "_pred"]
+    for name in ("_from_successors", "_set_adjacency", "__post_init__"):
+        assert not hasattr(SystemDigraph, name)
+    calls = []
+    init = SystemDigraph.__init__
+
+    def counting(self, n, succ, pred):
+        calls.append((n, succ, pred))
+        init(self, n, succ, pred)
+
+    monkeypatch.setattr(SystemDigraph, "__init__", counting)
+    g = build_digraph(StructPattern(2, 2, {(1, 0)}))
+    g.reversed()
+    assert calls == [(2, [[1], []], [[], [0]]), (2, [[], [0]], [[1], []])]

@@ -5,7 +5,6 @@ import pytest
 
 from structctrl import build_digraph
 from structctrl import matching
-from structctrl.graph_core import SystemDigraph
 from structctrl.matching import karp_sipser, solve_matching
 from structctrl.placement import _avoidable, min_dedicated_inputs
 from brute import (
@@ -14,6 +13,7 @@ from brute import (
     all_matchings,
     all_unmatched_sets,
     brute_max_matching_size,
+    digraph,
     matching_from_pairs,
     maximum_matching,
     random_pattern,
@@ -34,12 +34,12 @@ def test_to_state_bipartite_worked_example(sync6_graph):
 
 
 def test_to_state_bipartite_edgeless():
-    bg = to_state_bipartite(SystemDigraph(3, frozenset()))
+    bg = to_state_bipartite(digraph(3, frozenset()))
     assert bg.edges == frozenset()
 
 
 def test_to_state_bipartite_self_loop():
-    bg = to_state_bipartite(SystemDigraph(1, {(0, 0)}))
+    bg = to_state_bipartite(digraph(1, {(0, 0)}))
     assert bg.edges == frozenset({(0, 0)})
 
 
@@ -78,13 +78,13 @@ def test_maximum_matching_worked_example(sync6_graph):
 
 
 def test_maximum_matching_empty_edges():
-    m = maximum_matching(SystemDigraph(3, frozenset()))
+    m = maximum_matching(digraph(3, frozenset()))
     assert m.size == 0
     assert m.right_unmatched == (0, 1, 2)
 
 
 def test_maximum_matching_path():
-    m = maximum_matching(SystemDigraph(3, {(0, 1), (1, 2)}))
+    m = maximum_matching(digraph(3, {(0, 1), (1, 2)}))
     assert m.pairs == frozenset({(0, 1), (1, 2)})
     assert m.right_unmatched == (0,)
 
@@ -104,13 +104,15 @@ def test_maximum_matching_equals_hopcroft_karp_on_the_explicit_edge_set():
     # The digraph's successor lists are the sorted, duplicate-free rows of
     # its state bipartite graph, so the matching is the one HK finds there.
     rng = random.Random(24)
-    graphs = [SystemDigraph(0, ()), SystemDigraph(3, ()), SystemDigraph(1, {(0, 0)})]
+    graphs = [digraph(0, ()), digraph(3, ()), digraph(1, {(0, 0)})]
     while len(graphs) < 520:
         g = build_digraph(random_pattern(rng, rng.randint(1, 9), rng.random()))
         graphs += [g, g.reversed()]
     for g in graphs:
         bg = to_state_bipartite(g)
-        ml, mr, _ = solve_matching(bg.left_adjacency(), bg.right_size)
+        ml, mr, _ = solve_matching(
+            bg.left_adjacency(), bg.right_size, [-1] * bg.left_size, [-1] * bg.right_size
+        )
         expected = Matching(
             frozenset((l, r) for l, r in enumerate(ml) if r != -1),
             tuple(r for r, l in enumerate(mr) if l == -1),
@@ -129,6 +131,18 @@ def test_matching_module_keeps_only_the_engine():
         assert not hasattr(matching, name)
     assert not [v for v in vars(matching).values()
                 if inspect.isclass(v) and v.__module__ == matching.__name__]
+
+
+def test_solve_matching_always_takes_its_seed():
+    params = inspect.signature(solve_matching).parameters.values()
+    assert [p.name for p in params] == ["adj", "n_right", "match_l", "match_r"]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+    with pytest.raises(TypeError):
+        solve_matching([[0], [1]], 2)
+    # All -1 is the empty seed; the engine grows it in place.
+    ml, mr = [-1, -1], [-1, -1]
+    assert solve_matching([[0], [0, 1]], 2, ml, mr) == ([0, 1], [0, 1], 2)
+    assert (ml, mr) == ([0, 1], [0, 1])
 
 
 def _random_rectangular(rng):
@@ -188,12 +202,6 @@ def test_karp_sipser_seed_keeps_the_counts_of_an_unseeded_witness():
         assert (ks.m, ks.beta, ks.alpha, ks.p) == (hk.m, hk.beta, hk.alpha, hk.p)
 
 
-@pytest.mark.parametrize("seed", ["match_l", "match_r"])
-def test_solve_matching_rejects_half_a_seed(seed):
-    with pytest.raises(ValueError, match="both match_l and match_r"):
-        solve_matching([[0], [1]], 2, **{seed: [-1, -1]})
-
-
 def test_solve_matching_banned_right_properties():
     # Deleting a right vertex's in-edges leaves a maximum-size matching
     # exactly when some maximum matching misses it.
@@ -204,7 +212,8 @@ def test_solve_matching_banned_right_properties():
         avoidable = {v for s in all_unmatched_sets(bg) for v in s}
         for v in range(bg.right_size):
             rows = [[r for r in row if r != v] for row in bg.left_adjacency()]
-            _, mr, size = solve_matching(rows, bg.right_size)
+            seed = [-1] * len(rows), [-1] * bg.right_size
+            _, mr, size = solve_matching(rows, bg.right_size, *seed)
             assert mr[v] == -1
             assert size in (best, best - 1)
             assert (size == best) == (v in avoidable)
@@ -215,7 +224,7 @@ def test_avoidable_right_vertices_matches_exhaustive():
     for _ in range(60):
         g = build_digraph(random_pattern(rng, rng.randint(1, 6), rng.random()))
         bg = to_state_bipartite(g)
-        ml, mr, _ = solve_matching(g.successors(), g.n)
+        ml, mr, _ = solve_matching(g.successors(), g.n, [-1] * g.n, [-1] * g.n)
         expected = {v for s in all_unmatched_sets(bg) for v in s}
         unmatched = [r for r in range(g.n) if mr[r] == -1]
         assert _avoidable(g.predecessors(), ml, unmatched) == expected
@@ -228,7 +237,7 @@ def test_stem_cycle_worked_example(sync6_graph, sync6_witness):
 
 
 def test_stem_cycle_perfect_match_two_cycle():
-    g = SystemDigraph(2, {(0, 1), (1, 0)})
+    g = digraph(2, {(0, 1), (1, 0)})
     m = matching_from_pairs({(0, 1), (1, 0)}, 2)
     d = stem_cycle_decomposition(g, m)
     assert d.stems == ()
@@ -236,14 +245,14 @@ def test_stem_cycle_perfect_match_two_cycle():
 
 
 def test_stem_cycle_edgeless_graph():
-    g = SystemDigraph(3, frozenset())
+    g = digraph(3, frozenset())
     d = stem_cycle_decomposition(g, matching_from_pairs(set(), 3))
     assert d.stems == ((0,), (1,), (2,))
     assert d.cycles == ()
 
 
 def test_stem_cycle_rejects_foreign_edge():
-    g = SystemDigraph(2, {(0, 1)})
+    g = digraph(2, {(0, 1)})
     with pytest.raises(ValueError):
         stem_cycle_decomposition(g, matching_from_pairs({(1, 0)}, 2))
 

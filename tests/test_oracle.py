@@ -251,7 +251,7 @@ def test_oracle_dilation_agrees_with_hopcroft_karp_at_medium_size():
     for chosen in (states, states[1:], states[:-1]):
         b = emit_input_matrix(frozenset(chosen), n)
         rows = g.successors() + [[v] for v in chosen]
-        _, _, size = solve_matching(rows, n)
+        _, _, size = solve_matching(rows, n, [-1] * len(rows), [-1] * n)
         verdict = is_structurally_controllable(a, b)
         assert verdict.dilation_free == (size == n)
         verdicts.append(verdict.dilation_free)

@@ -20,7 +20,7 @@ from structctrl import (
     natural_partitions,
     parse_pattern,
 )
-from structctrl.graph_core import SystemDigraph, strongly_connected_components
+from structctrl.graph_core import strongly_connected_components
 from structctrl import placement
 from structctrl.matching import solve_matching
 from structctrl.placement import max_assignability_index
@@ -30,6 +30,7 @@ from brute import (
     all_unmatched_sets,
     brute_alpha,
     brute_max_matching_size,
+    digraph,
     matching_from_pairs,
     maximum_matching,
     random_pattern,
@@ -66,7 +67,7 @@ def test_min_inputs_edgeless_pair():
 
 def test_min_inputs_rejects_empty_graph():
     with pytest.raises(ValueError):
-        min_dedicated_inputs(SystemDigraph(0, frozenset()))
+        min_dedicated_inputs(digraph(0, frozenset()))
 
 
 def test_min_inputs_rejects_non_maximum_seed(sync6_graph):
@@ -129,7 +130,7 @@ def test_assignable_vertices_path():
 
 
 def test_assignable_vertices_two_cycle_perfect_match():
-    g = SystemDigraph(2, {(0, 1), (1, 0)})
+    g = digraph(2, {(0, 1), (1, 0)})
     m0 = maximum_matching(g)
     assert min_dedicated_inputs(g, matching=m0.pairs).assignable_vertices == frozenset()
 
@@ -143,7 +144,7 @@ def test_assignment_edges_worked_example(sync6_graph):
 
 
 def test_assignment_edges_empty():
-    g = SystemDigraph(2, {(0, 1), (1, 0)})
+    g = digraph(2, {(0, 1), (1, 0)})
     s = min_dedicated_inputs(g)
     assert s.open_sccs == frozenset()
     assert _v1_assignment_edges(s) == frozenset()
@@ -256,7 +257,7 @@ def test_partition_membership_matches_exhaustive_swaps():
                     [r for r in row if r not in pinned and r != x]
                     for row in bg.left_adjacency()
                 ]
-                _, _, forced = solve_matching(rows, g.n)
+                _, _, forced = solve_matching(rows, g.n, [-1] * g.n, [-1] * g.n)
                 assert (forced == sum(r != -1 for r in s.witness[0])) == swapped_ok
 
 
