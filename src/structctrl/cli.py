@@ -28,9 +28,10 @@ import warnings
 
 from . import __version__
 from .fileio import (
-    FORMATS, MAX_STATES, PatternFormatError, _short, gen_random, parse_pattern, write_pattern,
+    FORMATS, MAX_STATES, PatternFormatError, _json_document, _short, gen_random, parse_pattern,
+    write_pattern,
 )
-from .graph_core import StructPattern, build_digraph
+from .graph_core import build_digraph
 from .oracle import is_structurally_controllable
 from .placement import (
     emit_input_matrix,
@@ -62,14 +63,6 @@ def _int(text: str) -> int:
 
 def _one_based(states) -> list[int]:
     return [s + 1 for s in sorted(states)]
-
-
-def _pattern_dict(p: StructPattern) -> dict:
-    return {
-        "n_rows": p.n_rows,
-        "n_cols": p.n_cols,
-        "nonzeros": sorted([i + 1, j + 1] for i, j in p.nonzeros),
-    }
 
 
 def _summary_dict(summary) -> dict:
@@ -177,7 +170,7 @@ def _design_report(args, dual: bool) -> int:
         "timings_ms": {"parse": parse_ms, "design": round(1000 * (t2 - t1), 3)},
     }
     if args.emit:
-        report["matrices"] = [_pattern_dict(mat) for mat in matrices]
+        report["matrices"] = [_json_document(mat) for mat in matrices]
     _print_json(report)
     return 0
 

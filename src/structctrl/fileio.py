@@ -12,12 +12,13 @@ textbook indexing so files can be checked by eye):
 * mtx-pattern -- the Matrix Market coordinate subset.  Pattern, real and
   integer fields are accepted; values on entry lines are ignored.
 
-Each parser reads its input in one pass and keeps two lists of zero-based
-row and column indices.  Every distinct index is one shared int object, so
-the entry set and every adjacency list built from it hold references, not
-fresh ints, and memory stays O(entries) however large the declared size.
-Each parser drops its scaffolding (token index, decoded document or line
-list) before it builds the entry set, so the two are never alive together.
+Each parser reads its input in one pass and appends each entry's
+zero-based row straight onto its column's list, the pattern's one store of
+its entries.  Every distinct index is one shared int object, so the pattern
+and every adjacency list built from it hold references, not fresh ints, and
+memory stays O(entries) however large the declared size.  At the end each
+list is sorted, only a list that repeats a row is deduplicated, and one
+warning counts the repeats.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import random
 import re
 import warnings
+from itertools import chain
 from pathlib import Path
 
 from .graph_core import StructPattern
@@ -91,52 +93,58 @@ def parse_pattern(path: str | Path, fmt: str | None = None) -> StructPattern:
     return _parse_mtx(text)
 
 
-def _entry_set(rows: list[int], cols: list[int], what: str) -> frozenset[tuple[int, int]]:
-    """The set of zero-based entries (rows[k], cols[k]); warns about repeats.
-
-    The parsers pass each index as one shared int object per distinct value,
-    so the set costs one tuple per entry and no int per entry.
-    """
-    nonzeros = frozenset(zip(rows, cols))
-    dupes = len(rows) - len(nonzeros)
+def _pattern(n_rows: int, n_cols: int, columns: dict[int, list[int]], what: str) -> StructPattern:
+    """The pattern of range-checked column lists, each sorted and deduplicated in place."""
+    dupes = 0
+    for rows in columns.values():
+        if len(rows) > 1:
+            rows.sort()
+            prev = -1
+            for i in rows:
+                if i == prev:
+                    unique = sorted(set(rows))
+                    dupes += len(rows) - len(unique)
+                    rows[:] = unique
+                    break
+                prev = i
     if dupes:
         warnings.warn(f"{dupes} duplicate {what} entr{'y' if dupes == 1 else 'ies'} ignored")
-    return nonzeros
+    return StructPattern._prechecked(n_rows, n_cols, columns)
 
 
 def _parse_edgelist(text: str) -> StructPattern:
-    # An ASCII line of two entry tokens takes the fast path: a token already
-    # read maps to its shared zero-based index, and a token seen for the first
-    # time that is all digits, not all zeros and at most _DIGITS long is read
-    # with int() and mapped.  Only when both tokens pass is any int() called,
-    # so every other line reaches the full checks below, with their messages.
-    # The range check waits for the last size directive, and only a failing
-    # check rescans the text for its line.
+    # An ASCII line of two entry tokens takes the fast path: a row token
+    # already read maps to its shared zero-based index, a column token to its
+    # column's list, and a new token that is all digits, not all zeros and at
+    # most _DIGITS long is read with int() and mapped.  Only when both tokens
+    # pass is any int() called, so every other line reaches the full checks
+    # below, with their messages.  The range check waits for the last size
+    # directive, and only a failing check rescans the text for its line.
     index: dict[str, int] = {}
+    rows_of: dict[str, list[int]] = {}
     share = {}.setdefault
-    rows: list[int] = []
-    cols: list[int] = []
+    columns: dict[int, list[int]] = {}
     declared: tuple[int, int] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(_blocks(text)), start=1):
         line = raw.split("#", 1)[0] if "#" in raw else raw
         parts = line.split()
         if len(parts) == 2 and line.isascii():
             a, b = parts
             i = index.get(a)
-            j = index.get(b)
-            if (i is None or j is None) and (
+            rows = rows_of.get(b)
+            if (i is None or rows is None) and (
                 (i is not None or len(a) <= _DIGITS and a.isdigit() and a.strip("0"))
-                and (j is not None or len(b) <= _DIGITS and b.isdigit() and b.strip("0"))
+                and (rows is not None or len(b) <= _DIGITS and b.isdigit() and b.strip("0"))
             ):
                 if i is None:
                     v = int(a) - 1
                     i = index[a] = share(v, v)
-                if j is None:
+                if rows is None:
                     v = int(b) - 1
-                    j = index[b] = share(v, v)
-            if i is not None and j is not None:
+                    v = index[b] = share(v, v)
+                    rows = rows_of[b] = columns.setdefault(v, [])
+            if rows is not None and i is not None:
                 rows.append(i)
-                cols.append(j)
                 continue
         if not parts:
             continue
@@ -164,23 +172,31 @@ def _parse_edgelist(text: str) -> StructPattern:
             raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
         for token, value in ((a, i - 1), (b, j - 1)):
             index[token] = share(value, value)
-        rows.append(index[a])
-        cols.append(index[b])
+        columns.setdefault(index[b], []).append(index[a])
 
     if declared is None:
-        size = max(max(rows, default=-1), max(cols, default=-1)) + 1
+        size = max(index.values(), default=-1) + 1
         if size > MAX_STATES:
             line_no = next(ln for ln, i, j in _edgelist_entries(text) if max(i, j) == size)
             _check_size(size, f"line {line_no}")
         declared = (size, size)
     n_rows, n_cols = declared
-    if rows and (max(rows) >= n_rows or max(cols) >= n_cols):
+    if columns and (max(columns) >= n_cols or max(map(max, columns.values())) >= n_rows):
         line_no, i, j = next(e for e in _edgelist_entries(text) if e[1] > n_rows or e[2] > n_cols)
         raise PatternFormatError(
             f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
         )
-    del index, share
-    return StructPattern._prechecked(n_rows, n_cols, _entry_set(rows, cols, "edgelist"))
+    return _pattern(n_rows, n_cols, columns, "edgelist")
+
+
+def _blocks(text: str):
+    """``text.splitlines()`` in pieces of about 64 KiB, each ending right after
+    a line feed, where a line ends too: one piece's lines are alive at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
 
 
 def _edgelist_entries(text: str):
@@ -218,8 +234,7 @@ def _parse_json(text: str) -> StructPattern:
     if not isinstance(raw, list):
         raise PatternFormatError(f"nonzeros: expected a list of pairs, got {raw!r}")
     share = {}.setdefault
-    rows: list[int] = []
-    cols: list[int] = []
+    columns: dict[int, list[int]] = {}
     for k, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise PatternFormatError(f"nonzeros[{k}]: expected a pair, got {pair!r}")
@@ -232,10 +247,9 @@ def _parse_json(text: str) -> StructPattern:
             )
         i -= 1
         j -= 1
-        rows.append(share(i, i))
-        cols.append(share(j, j))
-    del data, raw, share
-    return StructPattern._prechecked(n_rows, n_cols, _entry_set(rows, cols, "JSON"))
+        columns.setdefault(share(j, j), []).append(share(i, i))
+        raw[k] = None  # the decoded pair is read: free it as the lists grow
+    return _pattern(n_rows, n_cols, columns, "JSON")
 
 
 def _is_json_int(value: object) -> bool:
@@ -259,8 +273,8 @@ def _parse_mtx(text: str) -> StructPattern:
     dims: tuple[int, int, str] | None = None
     size_line = 0
     share = {}.setdefault
-    rows: list[int] = []
-    cols: list[int] = []
+    columns: dict[int, list[int]] = {}
+    count = 0
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -287,20 +301,17 @@ def _parse_mtx(text: str) -> StructPattern:
             )
         i -= 1
         j -= 1
-        rows.append(share(i, i))
-        cols.append(share(j, j))
+        columns.setdefault(share(j, j), []).append(share(i, i))
+        if i != j and symmetry == "symmetric":
+            columns.setdefault(share(i, i), []).append(share(j, j))
+        count += 1
     if dims is None:
         raise PatternFormatError("missing size line")
-    if str(len(rows)) != dims[2]:
+    if str(count) != dims[2]:
         raise PatternFormatError(
-            f"line {size_line}: size line declares {dims[2]} entries, found {len(rows)}"
+            f"line {size_line}: size line declares {dims[2]} entries, found {count}"
         )
-    del lines, share
-    if symmetry == "symmetric":
-        mirrored = [(i, j) for i, j in zip(rows, cols) if i != j]
-        rows += [j for _, j in mirrored]
-        cols += [i for i, _ in mirrored]
-    return StructPattern._prechecked(dims[0], dims[1], _entry_set(rows, cols, "matrix"))
+    return _pattern(dims[0], dims[1], columns, "matrix")
 
 
 def _check_size(value: int, where: str) -> int:
@@ -357,12 +368,7 @@ def write_pattern(
             out.append(f"shape {pattern.n_rows} {pattern.n_cols}")
         out.extend(f"{i} {j}" for i, j in entries)
     elif fmt == "pattern-json":
-        payload = {
-            "n_rows": pattern.n_rows,
-            "n_cols": pattern.n_cols,
-            "nonzeros": [list(e) for e in entries],
-        }
-        out.append(json.dumps(payload, indent=2))
+        out.append(json.dumps(_json_document(pattern), indent=2))
     elif fmt == "mtx-pattern":
         out.append("%%MatrixMarket matrix coordinate pattern general")
         out.extend(f"% {h}" for h in header_lines)
@@ -371,6 +377,15 @@ def write_pattern(
     else:
         raise PatternFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     Path(path).write_text("\n".join(out) + "\n")
+
+
+def _json_document(pattern: StructPattern) -> dict:
+    """``pattern`` as a pattern-json document, which the CLI's reports embed too."""
+    return {
+        "n_rows": pattern.n_rows,
+        "n_cols": pattern.n_cols,
+        "nonzeros": sorted([i + 1, j + 1] for i, j in pattern.nonzeros),
+    }
 
 
 def gen_random(
@@ -399,23 +414,37 @@ def gen_random(
         p = 0.3 if p_edge is None else p_edge
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p_edge must be in [0, 1], got {p}")
-        nonzeros = _bernoulli_cells(n, p, rng)
+        columns = _bernoulli_cells(n, p, rng)
         provenance = f"gen model=erdos n={n} p_edge={p} seed={seed}"
     elif model == "scalefree":
         k = 2 if attach is None else attach
         if k < 1:
             raise ValueError(f"attach must be at least 1, got {_short(str(k))}")
-        nonzeros = set()
-        indeg = [1] * n  # +1 smoothing so isolated vertices stay reachable
+        # A target is what rng.choices(range(v), weights) draws from one
+        # random(): the first vertex whose running weight exceeds it, at most
+        # v - 1.  The weights (in-degree + 1, so isolated vertices stay
+        # reachable) sit in a Fenwick tree (Fenwick, SP&E 24(3), 1994), where
+        # tree[x] sums those of x - (x & -x) .. x - 1: O(log n) per draw.
+        columns = {}
+        tree = [x & -x for x in range(n + 1)]
+        total = 0  # weight of the vertices before v
         for v in range(1, n):
+            total += 1
             targets: set[int] = set()
-            want = min(k, v)
-            while len(targets) < want:
-                t = rng.choices(range(v), weights=indeg[:v], k=1)[0]
-                targets.add(t)
+            while len(targets) < min(k, v):
+                u, t, acc, step = rng.random() * total, 0, 0, 1 << n.bit_length()
+                while step := step >> 1:
+                    if t + step <= n and acc + tree[t + step] <= u:
+                        t += step
+                        acc += tree[t]
+                targets.add(min(t, v - 1))
+            columns[v] = sorted(targets)  # v influences t: entry (t, v)
+            total += len(targets)
             for t in targets:
-                nonzeros.add((t, v))  # v influences t: entry (t, v)
-                indeg[t] += 1
+                t += 1
+                while t <= n:
+                    tree[t] += 1
+                    t += t & -t
         provenance = f"gen model=scalefree n={n} attach={k} seed={seed}"
     elif model == "banded":
         w = 1 if band is None else band
@@ -424,26 +453,25 @@ def gen_random(
             raise ValueError(f"band must be non-negative, got {_short(str(w))}")
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fill must be in [0, 1], got {f}")
-        nonzeros = {
-            (i, j)
-            for i in range(n)
-            for j in range(max(0, i - w), min(n, i + w + 1))
-            if rng.random() < f
-        }
+        columns = {}
+        for i in range(n):
+            for j in range(max(0, i - w), min(n, i + w + 1)):
+                if rng.random() < f:
+                    columns.setdefault(j, []).append(i)
         provenance = f"gen model=banded n={n} band={w} fill={f} seed={seed}"
     else:
         raise ValueError(f"unknown model {model!r}; expected erdos, scalefree or banded")
-    return StructPattern._prechecked(n, n, frozenset(nonzeros)), provenance
+    return StructPattern._prechecked(n, n, columns), provenance
 
 
-def _bernoulli_cells(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
-    """Bernoulli(p) over the n*n cells via geometric skips: O(expected hits)."""
-    cells: set[tuple[int, int]] = set()
+def _bernoulli_cells(n: int, p: float, rng: random.Random) -> dict[int, list[int]]:
+    """Column lists of Bernoulli(p) over the n*n cells via geometric skips: O(expected hits)."""
+    columns: dict[int, list[int]] = {}
     total = n * n
     if p <= 0.0:
-        return cells
+        return columns
     if p >= 1.0:
-        return {(i, j) for i in range(n) for j in range(n)}
+        return {j: list(range(n)) for j in range(n)}
     log_q = math.log1p(-p)
     pos = -1
     while True:
@@ -451,5 +479,6 @@ def _bernoulli_cells(n: int, p: float, rng: random.Random) -> set[tuple[int, int
         u = rng.random()
         pos += 1 + int(math.log(1.0 - u) / log_q)
         if pos >= total:
-            return cells
-        cells.add(divmod(pos, n))
+            return columns
+        i, j = divmod(pos, n)
+        columns.setdefault(j, []).append(i)

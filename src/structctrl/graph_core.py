@@ -7,13 +7,13 @@ Everything downstream -- strongly connected components and the source
 components that no other state feeds into -- is computed on that
 influence digraph, which keeps its edges only as adjacency lists.
 
-``build_digraph`` is the one place the lists are made: it fills the
-successor lists straight from a pattern's entries, so they share the
-pattern's int objects, sorts each and derives the predecessor lists from
-them.  ``SystemDigraph`` only holds the two lists, and
-``SystemDigraph.reversed`` swaps them to give the transposed pattern's
-digraph.  ``strongly_connected_components`` is one iterative Tarjan pass
-that also finds the source components.
+A pattern holds its entries once, as column lists, and of a square
+pattern those are the digraph's successor lists: ``build_digraph`` takes
+them without copying and derives the predecessor lists from them.
+``SystemDigraph`` only holds the two lists, and ``SystemDigraph.reversed``
+swaps them to give the transposed pattern's digraph.
+``strongly_connected_components`` is one iterative Tarjan pass that also
+finds the source components.
 
 All indices are zero-based.  File formats are one-based; the translation
 happens at the I/O boundary only.
@@ -22,41 +22,47 @@ happens at the I/O boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructPattern:
-    """Sparsity pattern of a matrix: only non-zero positions are kept."""
+    """Sparsity pattern of a matrix, held once as its column lists.
+
+    ``columns`` maps each column that has entries to its rows, ascending
+    and duplicate-free: compressed sparse columns (Duff, Erisman and Reid,
+    *Direct Methods for Sparse Matrices*, ch. 2), O(entries) however many
+    columns are declared.  Of a square pattern, column j's rows are the
+    successors of j, and ``build_digraph`` takes the lists as they are, so
+    callers must not mutate them.  ``nonzeros`` derives the entry pairs.
+    """
 
     n_rows: int
     n_cols: int
-    nonzeros: frozenset[tuple[int, int]]
+    columns: dict[int, list[int]] = field(hash=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
-        if self.n_rows < 0 or self.n_cols < 0:
+    def __init__(self, n_rows: int, n_cols: int, pairs: Iterable[tuple[int, int]]) -> None:
+        if n_rows < 0 or n_cols < 0:
             raise ValueError("pattern dimensions must be non-negative")
-        for i, j in self.nonzeros:
-            if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-                raise ValueError(
-                    f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} pattern"
-                )
+        columns: dict[int, list[int]] = {}
+        for i, j in sorted(set(pairs)):  # each column's rows come in ascending order
+            if not (0 <= i < n_rows and 0 <= j < n_cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} pattern")
+            columns.setdefault(j, []).append(i)
+        vars(self).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
 
     @classmethod
-    def _prechecked(
-        cls, n_rows: int, n_cols: int, nonzeros: frozenset[tuple[int, int]]
-    ) -> "StructPattern":
-        """A pattern from entries the caller has already range-checked.
-
-        The parsers check each entry against the declared size as they read
-        it, and the library's own builders make in-range entries only, so
-        they skip the repeat check; patterns built by users keep it.
-        """
+    def _prechecked(cls, n_rows: int, n_cols: int, columns: dict) -> "StructPattern":
+        """A pattern of column lists that the parsers and the library's own
+        builders have range-checked, sorted and deduplicated."""
         pattern = object.__new__(cls)
-        object.__setattr__(pattern, "n_rows", n_rows)
-        object.__setattr__(pattern, "n_cols", n_cols)
-        object.__setattr__(pattern, "nonzeros", nonzeros)
+        vars(pattern).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
         return pattern
+
+    @property
+    def nonzeros(self) -> frozenset[tuple[int, int]]:
+        """The (row, col) entries, derived from the column lists on each read."""
+        return frozenset((i, j) for j, rows in self.columns.items() for i in rows)
 
     @property
     def is_square(self) -> bool:
@@ -64,12 +70,11 @@ class StructPattern:
 
     @property
     def nnz(self) -> int:
-        return len(self.nonzeros)
+        return sum(map(len, self.columns.values()))
 
     def transpose(self) -> "StructPattern":
-        return StructPattern._prechecked(
-            self.n_cols, self.n_rows, frozenset((j, i) for i, j in self.nonzeros)
-        )
+        entries = ((j, i) for j, rows in self.columns.items() for i in rows)
+        return StructPattern(self.n_cols, self.n_rows, entries)
 
 
 @dataclass(frozen=True)
@@ -137,11 +142,8 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
             f"state pattern must be square, got {pattern.n_rows}x{pattern.n_cols}"
         )
     n = pattern.n_rows
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pattern.nonzeros:
-        succ[j].append(i)
-    for targets in succ:
-        targets.sort()
+    # The successors of j are column j's rows, taken as they are.
+    succ: list[list[int]] = [pattern.columns.get(j) or [] for j in range(n)]
     # Walking the sorted successor lists in vertex order appends each
     # predecessor list in ascending order.
     pred: list[list[int]] = [[] for _ in range(n)]
@@ -152,11 +154,8 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
 
 
 def pattern_of(g: SystemDigraph) -> StructPattern:
-    """Inverse of build_digraph: row v holds the predecessors of v."""
-    rows = g.predecessors()
-    return StructPattern._prechecked(
-        g.n, g.n, frozenset((v, u) for v in range(g.n) for u in rows[v])
-    )
+    """Inverse of build_digraph: column u holds the successors of u, shared."""
+    return StructPattern._prechecked(g.n, g.n, {u: s for u, s in enumerate(g.successors()) if s})
 
 
 def strongly_connected_components(g: SystemDigraph) -> Condensation:

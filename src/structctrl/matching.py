@@ -42,6 +42,7 @@ def solve_matching(
     n_right: int,
     match_l: list[int],
     match_r: list[int],
+    first: int = 0,
 ) -> tuple[list[int], list[int], int]:
     """Maximum bipartite matching via Hopcroft-Karp, grown from a seed.
 
@@ -49,6 +50,8 @@ def solve_matching(
     arrays, of lengths ``len(adj)`` and ``n_right``, must describe a valid
     matching of ``adj`` (all ``-1`` is the empty one).  They are augmented
     in place, so any seed edge that is never on an augmenting path stays.
+    Searches start only at free left vertices ``first`` and later; the
+    result is maximum when no augmenting path starts before ``first``.
     Returns the match arrays and the matching size.
     """
     n_left = len(adj)
@@ -59,7 +62,7 @@ def solve_matching(
         # containing a free right vertex.
         queue: deque[int] = deque()
         for l in range(n_left):
-            if match_l[l] == -1:
+            if match_l[l] == -1 and l >= first:
                 dist[l] = 0.0
                 queue.append(l)
             else:
@@ -81,7 +84,7 @@ def solve_matching(
             break
         # DFS phase: vertex-disjoint shortest augmenting paths.
         ptr = [0] * n_left
-        for root in range(n_left):
+        for root in range(first, n_left):
             if match_l[root] == -1:
                 _augment(root, adj, match_l, match_r, dist, dist_free, ptr)
 

@@ -10,12 +10,12 @@ ground truth for the fast placement path.
 
 The matcher here is deliberately separate from ``matching.py`` so that the
 oracle shares no matching code with the placement pipeline it is meant to
-check; for the same reason the oracle reads its adjacency straight off the
-pattern.  The matcher is a phase-based augmenting-path matcher with
-lookahead in the style of Pothen and Fan (see Duff, Kaya and Ucar, ACM
-TOMS 38(2), 2011): a greedy start, then phases of one depth-first search
-per free left vertex with one visited stamp per right vertex for the whole
-call, until a phase augments nothing.  For the dilation test the states
+check; for the same reason the oracle reads the patterns' column lists,
+not a digraph, and transposes them itself.  The matcher is a phase-based
+augmenting-path matcher with lookahead in the style of Pothen and Fan (see
+Duff, Kaya and Ucar, ACM TOMS 38(2), 2011): a greedy start, then phases of
+one depth-first search per free left vertex with one visited stamp per
+right vertex for the whole call, until a phase augments nothing.  For the dilation test the states
 are its left vertices, each adjacent to the states and inputs that feed
 it, so every search starts at an unmatched state and inputs beyond what
 the states need start none.
@@ -154,15 +154,13 @@ def is_structurally_controllable(
     n = a.n_rows
 
     # Vertex j < n is state j (entry (i, j) is edge j -> i); n + k is input k.
-    # adj[u] lists what u feeds (accessibility), rows[i] what feeds state i.
-    adj: list[list[int]] = [[] for _ in range(n + b.n_cols)]
+    # adj[u] lists what u feeds (accessibility): column j of A, or column k
+    # of B, read as it is.  rows[i] lists what feeds state i, transposed here.
+    adj = [a.columns.get(j, ()) for j in range(n)] + [b.columns.get(k, ()) for k in range(b.n_cols)]
     rows: list[list[int]] = [[] for _ in range(n)]
-    for i, j in a.nonzeros:
-        adj[j].append(i)
-        rows[i].append(j)
-    for i, k in b.nonzeros:
-        adj[n + k].append(i)
-        rows[i].append(n + k)
+    for u, targets in enumerate(adj):
+        for i in targets:
+            rows[i].append(u)
     seen: set[int] = set()
     stack = list(range(n, n + b.n_cols))
     while stack:

@@ -159,9 +159,11 @@ def _absorb_source_sccs(
     the optimal matching absorbs.  Augmenting paths never unmatch a left
     vertex, so a real part that starts maximum stays maximum, and the
     absorbed count is the number of distinct SCCs that simultaneously hold
-    right-unmatched vertices.
+    right-unmatched vertices.  Searches start at auxiliary vertices only: an
+    augmenting path from a free real vertex would match it and keep every
+    other left vertex matched, a real matching one larger than the maximum.
     """
-    solve_matching(list(adj) + list(aux_rows), n, match_l, match_r)
+    solve_matching(list(adj) + list(aux_rows), n, match_l, match_r, n)
     return sum(1 for l in range(n, len(match_l)) if match_l[l] != -1)
 
 
@@ -484,9 +486,7 @@ def emit_input_matrix(states: Collection[int], n: int) -> StructPattern:
     for s in ordered:
         if not (0 <= s < n):
             raise ValueError(f"state {s} outside range 0..{n - 1}")
-    return StructPattern._prechecked(
-        n, len(ordered), frozenset((s, k) for k, s in enumerate(ordered))
-    )
+    return StructPattern._prechecked(n, len(ordered), {k: [s] for k, s in enumerate(ordered)})
 
 
 def emit_output_matrix(states: Collection[int], n: int) -> StructPattern:

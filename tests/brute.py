@@ -8,6 +8,7 @@ matching as a pair set and the stems and cycles it splits into, which
 no pipeline stage needs.
 """
 
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -201,6 +202,24 @@ def brute_alpha(bg, cond):
         hit = {cond.scc_of[v] for v in unmatched if cond.scc_of[v] in sources}
         best = max(best, len(hit))
     return best
+
+
+def scalefree_entries(n, attach, seed):
+    """The entries of ``gen_random(n, "scalefree", seed=seed, attach=attach)``,
+    each target drawn with ``rng.choices`` over the whole weight list: O(n)
+    per draw, the way the model was first written."""
+    rng = random.Random(seed)
+    entries = set()
+    indeg = [1] * n
+    for v in range(1, n):
+        targets = set()
+        want = min(attach, v)
+        while len(targets) < want:
+            targets.add(rng.choices(range(v), weights=indeg[:v], k=1)[0])
+        for t in targets:
+            entries.add((t, v))
+            indeg[t] += 1
+    return entries
 
 
 def random_pattern(rng, n, density):

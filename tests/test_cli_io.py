@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from structctrl import (
 from structctrl import cli, fileio
 from structctrl.cli import run_cli
 from structctrl.oracle import OracleVerdict
-from brute import random_pattern, reference_parse_edgelist
+from brute import digraph, random_pattern, reference_parse_edgelist, scalefree_entries
 
 SYNC6_EDGELIST = """\
 # 6-agent synchronization example
@@ -221,6 +222,90 @@ def test_parsers_share_ints_across_spellings_and_mirrors(tmp_path, name, text, i
     assert _one_int_per_index(parsed)
 
 
+def _three_files(rng, n_rows, n_cols, entries, folder):
+    """``entries`` (zero-based, repeats kept, in order) written by hand in
+    each format, with comments and blank lines where the format allows."""
+    one = [(i + 1, j + 1) for i, j in entries]
+    size = f"n {n_rows}" if n_rows == n_cols and rng.random() < 0.5 else f"shape {n_rows} {n_cols}"
+    el = ["# drawn at random", "", *(f"{i} {j}" + rng.choice(("", "  # note")) for i, j in one)]
+    el.insert(rng.choice((0, len(el))), size)  # the size may come last
+    mtx = ["%%MatrixMarket matrix coordinate pattern general", "% drawn at random",
+           f"{n_rows} {n_cols} {len(one)}", *(f"{i} {j}" for i, j in one)]
+    doc = {"n_rows": n_rows, "n_cols": n_cols, "nonzeros": [list(e) for e in one]}
+    files = {"edgelist": folder / "p.el", "mtx-pattern": folder / "p.mtx",
+             "pattern-json": folder / "p.json"}
+    files["edgelist"].write_text("\n".join(el) + "\n")
+    files["mtx-pattern"].write_text("\n".join(mtx) + "\n")
+    files["pattern-json"].write_text(json.dumps(doc))
+    return files
+
+
+def test_formats_parse_the_same_entries_to_equal_patterns(tmp_path):
+    # Repeats, empty columns and non-square shapes; each parser fills the
+    # same column lists, ascending and without repeats, and warns once.
+    rng = random.Random(2027)
+    words = {"edgelist": "edgelist", "pattern-json": "JSON", "mtx-pattern": "matrix"}
+    for _ in range(150):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+        if rng.random() < 0.3:
+            n_cols = n_rows
+        cells = [(rng.randrange(n_rows), rng.randrange(n_cols)) for _ in range(rng.randint(0, 30))]
+        entries = cells + rng.sample(cells, min(len(cells), rng.randint(0, 3)))
+        rng.shuffle(entries)
+        expected = StructPattern(n_rows, n_cols, set(entries))
+        dupes = len(entries) - len(set(entries))
+        for fmt, path in _three_files(rng, n_rows, n_cols, entries, tmp_path).items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parsed = parse_pattern(path, fmt)
+            assert parsed == expected and parsed.nonzeros == set(entries)
+            assert parsed.nnz == len(set(entries))
+            assert [str(w.message) for w in caught] == (
+                [f"{dupes} duplicate {words[fmt]} entr{'y' if dupes == 1 else 'ies'} ignored"]
+                if dupes else []
+            )
+            for j, rows in parsed.columns.items():
+                assert 0 <= j < n_cols and rows and rows == sorted(set(rows))
+            assert StructPattern(parsed.n_rows, parsed.n_cols, parsed.nonzeros) == parsed
+            if n_rows == n_cols:
+                g = build_digraph(parsed)
+                want = digraph(n_rows, {(j, i) for i, j in entries})
+                assert g.successors() == want.successors()
+                assert g.predecessors() == want.predecessors()
+
+
+def test_edgelist_blocks_split_lines_as_splitlines_does():
+    # The edgelist parser reads its lines a block at a time; every kind of
+    # line break splitlines knows, on either side of a block's end, must give
+    # the same lines.
+    rng = random.Random(64)
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+    for k in range(6):
+        text = "".join(rng.choice(("1 2", "", "# c", "n 5", "12 3456")) + rng.choice(breaks)
+                       for _ in range(rng.randint(20_000, 60_000)))
+        text = text.rstrip() if k % 2 else text
+        assert list(chain.from_iterable(fileio._blocks(text))) == text.splitlines()
+    assert list(fileio._blocks("")) == []
+
+
+def test_edgelist_long_files_parse_as_the_reference_does():
+    # Long files span several blocks of lines; fast-path entry lines mix
+    # with lines that take the full checks, and a bad line in a late block
+    # is still named by its line number.
+    rng = random.Random(65)
+    odd = ["# note", "", "n 900", "shape 900 800", "1 2 # c", "007 3", "1", "901 1", "0 1",
+           "x y", "1 2 3", " 5\t6 ", "123456789 1"]
+    for k in range(12):
+        n = rng.randint(1, 900)
+        lines = [rng.choice((" ", "\t", "  ")).join(map(str, (rng.randint(1, n), rng.randint(1, n))))
+                 for _ in range(rng.randint(10_000, 25_000))]
+        for _ in range(k % 4):
+            lines[rng.randrange(len(lines))] = rng.choice(odd)
+        text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", ""))
+        outcome = _parse_outcome(fileio._parse_edgelist, text)
+        assert outcome == _parse_outcome(reference_parse_edgelist, text)
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -266,33 +351,59 @@ def _traced(fn):
     return result, held, peak
 
 
-# Parse peak over the size of the parsed pattern.  With each parser's
-# scaffolding dropped before the entry set is built, the instance above reads
-# 1.35 (edgelist), 2.08 (JSON) and 1.35 (mtx); kept to the end, 1.55, 3.10 and 2.05.
+# Parse peak over the size of the frozenset of the parsed entries, which is
+# what a pattern held when it kept its entries as (row, col) tuples; that
+# is at most the size such a pattern had, so these bounds allow no more
+# bytes than they did over it.  The instance above reads 0.76 (edgelist),
+# 1.96 (JSON) and 1.27 (mtx).  Over the old pattern, with its scaffolding
+# dropped before the tuple set was built, it read 1.35, 2.08 and 1.35; kept
+# to the end, 1.55, 3.10 and 2.05.
 PARSE_PEAK_OVER_PATTERN = {"edgelist": 1.45, "pattern-json": 2.5, "mtx-pattern": 1.45}
 
 
 @pytest.mark.parametrize("fmt", sorted(PARSE_PEAK_OVER_PATTERN))
 def test_parse_drops_its_scaffolding_before_the_entry_set(erdos_20k_files, fmt):
-    pattern, size, peak = _traced(lambda: parse_pattern(erdos_20k_files[fmt]))
+    pattern, _, peak = _traced(lambda: parse_pattern(erdos_20k_files[fmt]))
     assert pattern.n_rows == 20_000 and pattern.nnz > 90_000
+    _, size, _ = _traced(lambda: pattern.nonzeros)
     assert peak <= PARSE_PEAK_OVER_PATTERN[fmt] * size, peak / size
 
 
 def test_cli_analyze_peaks_at_pattern_plus_digraph(erdos_20k_files, capsys):
-    # analyze drops the pattern once the digraph exists, so the later stages
-    # allocate into the room it leaves.
-    path = erdos_20k_files["edgelist"]
+    # analyze drops the pattern's dict once the digraph holds its lists, and
+    # keeps no parse scaffolding, so it peaks at the larger of the parse (and
+    # build) peak and the pattern plus its digraph plus the analysis's own
+    # working set.  The instance reads about 9.6 MB against a bound of about
+    # 10.4 MB; bounded by the old pattern plus its digraph, it was 16.4 MB.
+    path = str(erdos_20k_files["edgelist"])
 
     def pattern_and_digraph():
         pattern = parse_pattern(path)
         return pattern, build_digraph(pattern)
 
-    held, both, _ = _traced(pattern_and_digraph)
-    del held
-    code, _, peak = _traced(lambda: run_cli(["analyze", str(path), "--format", "json"]))
+    (pattern, g), both, front_peak = _traced(pattern_and_digraph)
+    _, _, analysis = _traced(lambda: min_dedicated_inputs(g))
+    del pattern, g
+    code, _, peak = _traced(lambda: run_cli(["analyze", path, "--format", "json"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["instance"]["n"] == 20_000
-    assert peak <= 1.05 * both, (peak, both)
+    assert peak <= 1.05 * max(front_peak, both + analysis), (peak, front_peak, both, analysis)
+
+
+def test_analyze_never_reads_the_entry_pairs(tmp_path, sync6_pattern, monkeypatch, capsys):
+    # Parse, build and analyze read the column lists; the derived pairs are
+    # for writers only.
+    paths = [tmp_path / name for name in ("a.el", "a.json", "a.mtx")]
+    for path in paths:
+        write_pattern(sync6_pattern, path)
+
+    def refuse(self):
+        raise AssertionError("nonzeros read")
+
+    monkeypatch.setattr(StructPattern, "nonzeros", property(refuse))
+    for path in paths:
+        for fmt in ("text", "json"):
+            assert run_cli(["analyze", str(path), "--format", fmt]) == 0
+    assert "p=3" in capsys.readouterr().out
 
 
 def test_cli_design_outputs_peaks_as_design_inputs(erdos_20k_files, capsys):
@@ -441,6 +552,19 @@ def test_gen_rejects_bad_params():
         gen_random(3, "scalefree", attach=0)
     with pytest.raises(ValueError):
         gen_random(3, "smallworld")
+
+
+@pytest.mark.parametrize(
+    "n, attach, seed", [(1, 2, 0), (2, 1, 3), (3, 5, 1), (60, 2, 4), (400, 3, 7), (1500, 2, 11)]
+)
+def test_gen_scalefree_draws_what_rng_choices_drew(tmp_path, n, attach, seed):
+    # The Fenwick tree draws each target from the same random() as
+    # rng.choices over the whole weight list, so the files are the same.
+    pattern, provenance = gen_random(n, "scalefree", seed=seed, attach=attach)
+    write_pattern(pattern, tmp_path / "fenwick.el", header_lines=(provenance,))
+    reference = StructPattern(n, n, scalefree_entries(n, attach, seed))
+    write_pattern(reference, tmp_path / "choices.el", header_lines=(provenance,))
+    assert (tmp_path / "fenwick.el").read_bytes() == (tmp_path / "choices.el").read_bytes()
 
 
 def test_gen_models_produce_valid_patterns():

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from structctrl import StructPattern, build_digraph, parse_pattern, write_pattern
+from structctrl import (
+    StructPattern,
+    build_digraph,
+    design_inputs,
+    design_outputs,
+    emit_output_matrix,
+    parse_pattern,
+    write_pattern,
+)
 from structctrl.graph_core import SystemDigraph, pattern_of, strongly_connected_components
 from structctrl.oracle import is_structurally_controllable
 from structctrl.placement import (
@@ -225,6 +233,32 @@ def test_adjacency_is_built_once_and_never_mutated():
         enumerate_configurations(g, summary, limit=50)
         is_structurally_controllable(pattern_of(g), emit_input_matrix(config, g.n))
         assert g.successors() == succ and g.predecessors() == pred
+
+
+def test_no_stage_mutates_the_parsed_column_lists(tmp_path):
+    # The digraph's successor lists are the pattern's column lists, so every
+    # stage that reads them must leave the parsed pattern as a fresh parse
+    # of its file gives it.
+    rng = random.Random(29)
+    for k in range(60):
+        n = rng.randint(1, 9)
+        path = tmp_path / "a.el"
+        write_pattern(random_pattern(rng, n, rng.random() * 0.5), path)
+        pattern, fresh = parse_pattern(path), parse_pattern(path)
+        design_inputs(pattern)
+        assert pattern == fresh
+        design = design_outputs(pattern)
+        assert pattern == fresh
+        g = build_digraph(pattern)
+        configs = list(enumerate_configurations(g, min_dedicated_inputs(g), limit=20))
+        assert pattern == fresh
+        for config in configs:
+            is_structurally_controllable(pattern, emit_input_matrix(config, n))
+        b_path = tmp_path / "b.el"
+        write_pattern(emit_output_matrix(next(iter(design.enumeration)), n).transpose(), b_path)
+        b = parse_pattern(b_path)
+        is_structurally_controllable(pattern, b, trials=1, seed=k)
+        assert pattern == fresh and b == parse_pattern(b_path)
 
 
 def test_reversed_is_the_digraph_of_the_transpose():

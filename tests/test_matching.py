@@ -134,9 +134,10 @@ def test_matching_module_keeps_only_the_engine():
 
 
 def test_solve_matching_always_takes_its_seed():
-    params = inspect.signature(solve_matching).parameters.values()
-    assert [p.name for p in params] == ["adj", "n_right", "match_l", "match_r"]
-    assert all(p.default is inspect.Parameter.empty for p in params)
+    params = list(inspect.signature(solve_matching).parameters.values())
+    assert [p.name for p in params] == ["adj", "n_right", "match_l", "match_r", "first"]
+    assert all(p.default is inspect.Parameter.empty for p in params[:4])
+    assert params[4].default == 0
     with pytest.raises(TypeError):
         solve_matching([[0], [1]], 2)
     # All -1 is the empty seed; the engine grows it in place.

@@ -534,6 +534,37 @@ def test_design_outputs_rejects_non_square():
         design_outputs(StructPattern(2, 3, frozenset()))
 
 
+def test_absorption_searches_from_auxiliary_vertices_only(monkeypatch):
+    # A free real vertex cannot start an augmenting path while the real part
+    # is maximum, so absorbing with searches rooted at the auxiliary vertices
+    # only must leave exactly the arrays that searches from every free vertex
+    # leave: in the analysis and in every enumeration child, on both sides.
+    firsts = []
+
+    def both_ways(adj, n_right, match_l, match_r, first=0):
+        if not first:
+            return solve_matching(adj, n_right, match_l, match_r)
+        everywhere = solve_matching(adj, n_right, list(match_l), list(match_r))
+        result = solve_matching(adj, n_right, match_l, match_r, first)
+        assert result == everywhere
+        firsts.append(first)
+        return result
+
+    monkeypatch.setattr(placement, "solve_matching", both_ways)
+    rng = random.Random(1994)
+    graphs = 0
+    while graphs < 2000:
+        n = rng.randint(1, 40)
+        model = rng.choice(("erdos", "scalefree", "banded"))
+        a, _ = gen_random(n, model, seed=rng.randrange(10**6),
+                          p_edge=min(1.0, rng.uniform(0.5, 3.0) / n))
+        g = build_digraph(a)
+        for side in (g, g.reversed()):
+            enumerate_configurations(side, min_dedicated_inputs(side), limit=20)
+            graphs += 1
+    assert len(firsts) > graphs  # children re-absorbed too
+
+
 def test_open_sccs_skip_rule_equals_full_search(monkeypatch):
     # The exchange search is skipped when every assignable root's own source
     # SCC is a singleton; the open SCCs must be those of the full search.
