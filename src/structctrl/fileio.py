@@ -13,12 +13,12 @@ textbook indexing so files can be checked by eye):
   integer fields are accepted; values on entry lines are ignored.
 
 Each parser reads its input in one pass and appends each entry's
-zero-based row straight onto its column's list, the pattern's one store of
-its entries.  Every distinct index is one shared int object, so the pattern
-and every adjacency list built from it hold references, not fresh ints, and
-memory stays O(entries) however large the declared size.  At the end each
-list is sorted, only a list that repeats a row is deduplicated, and one
-warning counts the repeats.
+zero-based row straight onto its column's list.  Every distinct index is
+one shared int object, so the pattern and every adjacency tuple built from
+it hold references, not fresh ints, and memory stays O(entries) however
+large the declared size.  At the end each list is sorted, only a list that
+repeats a row is deduplicated, one warning counts the repeats, and each
+list becomes the tuple the pattern keeps: its one store of its entries.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import random
 import re
 import warnings
-from itertools import chain
 from pathlib import Path
 
 from .graph_core import StructPattern
@@ -94,9 +93,9 @@ def parse_pattern(path: str | Path, fmt: str | None = None) -> StructPattern:
 
 
 def _pattern(n_rows: int, n_cols: int, columns: dict[int, list[int]], what: str) -> StructPattern:
-    """The pattern of range-checked column lists, each sorted and deduplicated in place."""
+    """The pattern of range-checked column lists, each sorted, deduplicated and made a tuple."""
     dupes = 0
-    for rows in columns.values():
+    for j, rows in columns.items():
         if len(rows) > 1:
             rows.sort()
             prev = -1
@@ -104,99 +103,100 @@ def _pattern(n_rows: int, n_cols: int, columns: dict[int, list[int]], what: str)
                 if i == prev:
                     unique = sorted(set(rows))
                     dupes += len(rows) - len(unique)
-                    rows[:] = unique
+                    rows = unique
                     break
                 prev = i
+        columns[j] = tuple(rows)
     if dupes:
         warnings.warn(f"{dupes} duplicate {what} entr{'y' if dupes == 1 else 'ies'} ignored")
     return StructPattern._prechecked(n_rows, n_cols, columns)
 
 
 def _parse_edgelist(text: str) -> StructPattern:
-    # An ASCII line of two entry tokens takes the fast path: a row token
+    # Two tokens on a line of an ASCII piece take the fast path: a row token
     # already read maps to its shared zero-based index, a column token to its
     # column's list, and a new token that is all digits, not all zeros and at
-    # most _DIGITS long is read with int() and mapped.  Only when both tokens
-    # pass is any int() called, so every other line reaches the full checks
-    # below, with their messages.  The range check waits for the last size
-    # directive, and only a failing check rescans the text for its line.
+    # most _DIGITS long is read with int() and mapped.  Only when both pass is
+    # any int() called; every other line, a comment too, gets the full checks
+    # below.  The range check waits for the last size directive, and only a
+    # failing check rescans the text for its line.
     index: dict[str, int] = {}
     rows_of: dict[str, list[int]] = {}
     share = {}.setdefault
     columns: dict[int, list[int]] = {}
     declared: tuple[int, int] | None = None
-    for line_no, raw in enumerate(chain.from_iterable(_blocks(text)), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
-        parts = line.split()
-        if len(parts) == 2 and line.isascii():
-            a, b = parts
-            i = index.get(a)
-            rows = rows_of.get(b)
-            if (i is None or rows is None) and (
-                (i is not None or len(a) <= _DIGITS and a.isdigit() and a.strip("0"))
-                and (rows is not None or len(b) <= _DIGITS and b.isdigit() and b.strip("0"))
-            ):
-                if i is None:
-                    v = int(a) - 1
-                    i = index[a] = share(v, v)
-                if rows is None:
-                    v = int(b) - 1
-                    v = index[b] = share(v, v)
-                    rows = rows_of[b] = columns.setdefault(v, [])
-            if rows is not None and i is not None:
-                rows.append(i)
+    line_no = start = 0
+    while start < len(text):
+        # A piece of about 64 KiB that ends right after a line feed, where a
+        # line ends too: one piece's lines are alive at a time.
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        piece, start = text[start:end], end
+        plain = piece.isascii()
+        for line_no, raw in enumerate(piece.splitlines(), line_no + 1):
+            parts = raw.split()
+            if len(parts) == 2 and plain:
+                a, b = parts
+                i = index.get(a)
+                rows = rows_of.get(b)
+                if (i is None or rows is None) and (
+                    (i is not None or len(a) <= _DIGITS and a.isdigit() and a.strip("0"))
+                    and (rows is not None or len(b) <= _DIGITS and b.isdigit() and b.strip("0"))
+                ):
+                    if i is None:
+                        v = int(a) - 1
+                        i = index[a] = share(v, v)
+                    if rows is None:
+                        v = int(b) - 1
+                        v = index[b] = share(v, v)
+                        rows = rows_of[b] = columns.setdefault(v, [])
+                if rows is not None and i is not None:
+                    rows.append(i)
+                    continue
+            line = raw.split("#", 1)[0]
+            parts = line.split()
+            if not parts:
                 continue
-        if not parts:
-            continue
-        if parts[0] == "n":
-            if len(parts) != 2 or not _is_digits(parts[1]):
-                raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
-            size = _check_size(_read_int(parts[1], line_no), f"line {line_no}")
-            declared = (size, size)
-            continue
-        if parts[0] == "shape":
-            if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
-                raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
-            declared = (
-                _check_size(_read_int(parts[1], line_no), f"line {line_no}"),
-                _check_size(_read_int(parts[2], line_no), f"line {line_no}"),
-            )
-            continue
-        if len(parts) != 2:
-            raise PatternFormatError(f"line {line_no}: expected 'i j', got {raw!r}")
-        a, b = parts
-        if not (line.strip().isascii() and a.isdigit() and b.isdigit()):
-            raise PatternFormatError(f"line {line_no}: indices must be ASCII digits, got {raw!r}")
-        i, j = _read_int(a, line_no), _read_int(b, line_no)
-        if i < 1 or j < 1:
-            raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
-        for token, value in ((a, i - 1), (b, j - 1)):
-            index[token] = share(value, value)
-        columns.setdefault(index[b], []).append(index[a])
+            if parts[0] == "n":
+                if len(parts) != 2 or not _is_digits(parts[1]):
+                    raise PatternFormatError(f"line {line_no}: malformed size directive {raw!r}")
+                size = _check_size(_read_int(parts[1], line_no), f"line {line_no}")
+                declared = (size, size)
+                continue
+            if parts[0] == "shape":
+                if len(parts) != 3 or not all(_is_digits(p) for p in parts[1:]):
+                    raise PatternFormatError(f"line {line_no}: malformed shape directive {raw!r}")
+                declared = (
+                    _check_size(_read_int(parts[1], line_no), f"line {line_no}"),
+                    _check_size(_read_int(parts[2], line_no), f"line {line_no}"),
+                )
+                continue
+            if len(parts) != 2:
+                raise PatternFormatError(f"line {line_no}: expected 'i j', got {raw!r}")
+            a, b = parts
+            if not (line.strip().isascii() and a.isdigit() and b.isdigit()):
+                raise PatternFormatError(
+                    f"line {line_no}: indices must be ASCII digits, got {raw!r}")
+            i, j = _read_int(a, line_no), _read_int(b, line_no)
+            if i < 1 or j < 1:
+                raise PatternFormatError(f"line {line_no}: indices are one-based, got ({i}, {j})")
+            index[a], index[b] = share(i - 1, i - 1), share(j - 1, j - 1)
+            columns.setdefault(index[b], []).append(index[a])
 
+    top = max(index.values(), default=-1)  # index holds both indices of every entry
     if declared is None:
-        size = max(index.values(), default=-1) + 1
-        if size > MAX_STATES:
-            line_no = next(ln for ln, i, j in _edgelist_entries(text) if max(i, j) == size)
-            _check_size(size, f"line {line_no}")
-        declared = (size, size)
+        if top >= MAX_STATES:
+            line_no = next(ln for ln, i, j in _edgelist_entries(text) if max(i, j) == top + 1)
+            _check_size(top + 1, f"line {line_no}")
+        declared = (top + 1, top + 1)
     n_rows, n_cols = declared
-    if columns and (max(columns) >= n_cols or max(map(max, columns.values())) >= n_rows):
+    if top >= min(declared) and (
+            max(columns) >= n_cols or max(map(max, columns.values())) >= n_rows):
         line_no, i, j = next(e for e in _edgelist_entries(text) if e[1] > n_rows or e[2] > n_cols)
         raise PatternFormatError(
             f"line {line_no}: entry ({i}, {j}) outside declared {n_rows}x{n_cols} pattern"
         )
+    del index, rows_of  # so each column list is freed as its tuple replaces it
     return _pattern(n_rows, n_cols, columns, "edgelist")
-
-
-def _blocks(text: str):
-    """``text.splitlines()`` in pieces of about 64 KiB, each ending right after
-    a line feed, where a line ends too: one piece's lines are alive at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
-        yield text[start:end].splitlines()
-        start = end
 
 
 def _edgelist_entries(text: str):
@@ -257,12 +257,13 @@ def _is_json_int(value: object) -> bool:
 
 
 def _parse_mtx(text: str) -> StructPattern:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
+    lines = iter(text.splitlines())  # an exhausted iterator frees the lines before the sort
+    first = next(lines, "")
+    if not first.startswith("%%MatrixMarket"):
         raise PatternFormatError("line 1: missing %%MatrixMarket header")
-    header = lines[0].split()
+    header = first.split()
     if len(header) < 4 or header[1].lower() != "matrix" or header[2].lower() != "coordinate":
-        raise PatternFormatError(f"line 1: unsupported header {lines[0]!r}")
+        raise PatternFormatError(f"line 1: unsupported header {first!r}")
     field = header[3].lower()
     if field not in ("pattern", "real", "integer"):
         raise PatternFormatError(f"line 1: unsupported field {field!r}")
@@ -275,7 +276,7 @@ def _parse_mtx(text: str) -> StructPattern:
     share = {}.setdefault
     columns: dict[int, list[int]] = {}
     count = 0
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -299,8 +300,7 @@ def _parse_mtx(text: str) -> StructPattern:
             raise PatternFormatError(
                 f"line {line_no}: entry ({i}, {j}) outside {dims[0]}x{dims[1]} matrix"
             )
-        i -= 1
-        j -= 1
+        i, j = i - 1, j - 1
         columns.setdefault(share(j, j), []).append(share(i, i))
         if i != j and symmetry == "symmetric":
             columns.setdefault(share(i, i), []).append(share(j, j))
@@ -461,7 +461,7 @@ def gen_random(
         provenance = f"gen model=banded n={n} band={w} fill={f} seed={seed}"
     else:
         raise ValueError(f"unknown model {model!r}; expected erdos, scalefree or banded")
-    return StructPattern._prechecked(n, n, columns), provenance
+    return StructPattern._prechecked(n, n, {j: tuple(r) for j, r in columns.items()}), provenance
 
 
 def _bernoulli_cells(n: int, p: float, rng: random.Random) -> dict[int, list[int]]:

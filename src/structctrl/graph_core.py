@@ -5,12 +5,12 @@ its state matrix.  A non-zero entry at (i, j) means state j influences
 state i, encoded as the directed edge j -> i (influencer to influenced).
 Everything downstream -- strongly connected components and the source
 components that no other state feeds into -- is computed on that
-influence digraph, which keeps its edges only as adjacency lists.
+influence digraph, which keeps its edges only as adjacency tuples.
 
-A pattern holds its entries once, as column lists, and of a square
-pattern those are the digraph's successor lists: ``build_digraph`` takes
-them without copying and derives the predecessor lists from them.
-``SystemDigraph`` only holds the two lists, and ``SystemDigraph.reversed``
+A pattern holds its entries once, as column tuples, and of a square
+pattern those are the digraph's successor tuples: ``build_digraph`` takes
+them without copying and derives the predecessor tuples from them.
+``SystemDigraph`` only holds the two lists of tuples, and ``reversed``
 swaps them to give the transposed pattern's digraph.
 ``strongly_connected_components`` is one iterative Tarjan pass that also
 finds the source components.
@@ -27,19 +27,19 @@ from typing import Iterable
 
 @dataclass(frozen=True, init=False)
 class StructPattern:
-    """Sparsity pattern of a matrix, held once as its column lists.
+    """Sparsity pattern of a matrix, held once as its column tuples.
 
-    ``columns`` maps each column that has entries to its rows, ascending
-    and duplicate-free: compressed sparse columns (Duff, Erisman and Reid,
-    *Direct Methods for Sparse Matrices*, ch. 2), O(entries) however many
-    columns are declared.  Of a square pattern, column j's rows are the
-    successors of j, and ``build_digraph`` takes the lists as they are, so
-    callers must not mutate them.  ``nonzeros`` derives the entry pairs.
+    ``columns`` maps each column that has entries to a tuple of its rows,
+    ascending and duplicate-free: compressed sparse columns (Duff, Erisman
+    and Reid, *Direct Methods for Sparse Matrices*, ch. 2), O(entries)
+    however many columns are declared.  Of a square pattern, column j's
+    rows are the successors of j, and ``build_digraph`` takes the tuples as
+    they are.  ``nonzeros`` derives the entry pairs.
     """
 
     n_rows: int
     n_cols: int
-    columns: dict[int, list[int]] = field(hash=False)
+    columns: dict[int, tuple[int, ...]] = field(hash=False)
 
     def __init__(self, n_rows: int, n_cols: int, pairs: Iterable[tuple[int, int]]) -> None:
         if n_rows < 0 or n_cols < 0:
@@ -49,11 +49,12 @@ class StructPattern:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} pattern")
             columns.setdefault(j, []).append(i)
+        columns = {j: tuple(rows) for j, rows in columns.items()}
         vars(self).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
 
     @classmethod
     def _prechecked(cls, n_rows: int, n_cols: int, columns: dict) -> "StructPattern":
-        """A pattern of column lists that the parsers and the library's own
+        """A pattern of column tuples that the parsers and the library's own
         builders have range-checked, sorted and deduplicated."""
         pattern = object.__new__(cls)
         vars(pattern).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
@@ -61,7 +62,7 @@ class StructPattern:
 
     @property
     def nonzeros(self) -> frozenset[tuple[int, int]]:
-        """The (row, col) entries, derived from the column lists on each read."""
+        """The (row, col) entries, derived from the column tuples on each read."""
         return frozenset((i, j) for j, rows in self.columns.items() for i in rows)
 
     @property
@@ -79,25 +80,25 @@ class StructPattern:
 
 @dataclass(frozen=True)
 class SystemDigraph:
-    """Influence digraph over the state vertices 0..n-1, as its adjacency lists.
+    """Influence digraph over the state vertices 0..n-1, as its adjacency tuples.
 
-    ``_succ[u]`` lists the successors of u and ``_pred[v]`` the
-    predecessors of v, each ascending and duplicate-free; a self-loop is
-    allowed.  The two lists hold the same edges, and nothing else keeps a
-    copy of them.  ``build_digraph`` makes them from a pattern and
-    ``reversed`` swaps them; this class only holds them.
+    ``_succ[u]`` is the tuple of the successors of u and ``_pred[v]`` that
+    of the predecessors of v, each ascending and duplicate-free; a
+    self-loop is allowed.  The two lists hold the same edges, and nothing
+    else keeps a copy of them.  ``build_digraph`` makes them from a pattern
+    and ``reversed`` swaps them; this class only holds them.
     """
 
     n: int
-    _succ: list[list[int]] = field(repr=False, hash=False)
-    _pred: list[list[int]] = field(repr=False, compare=False)
+    _succ: list[tuple[int, ...]] = field(repr=False, hash=False)
+    _pred: list[tuple[int, ...]] = field(repr=False, compare=False)
 
-    def successors(self) -> list[list[int]]:
-        """Successor lists (ascending), built once and shared: callers must not mutate them."""
+    def successors(self) -> list[tuple[int, ...]]:
+        """Successor tuples (ascending), built once and shared: do not mutate the list."""
         return self._succ
 
-    def predecessors(self) -> list[list[int]]:
-        """In-neighbour lists (ascending), built once and shared: callers must not mutate them."""
+    def predecessors(self) -> list[tuple[int, ...]]:
+        """In-neighbour tuples (ascending), built once and shared: do not mutate the list."""
         return self._pred
 
     def reversed(self) -> "SystemDigraph":
@@ -143,14 +144,14 @@ def build_digraph(pattern: StructPattern) -> SystemDigraph:
         )
     n = pattern.n_rows
     # The successors of j are column j's rows, taken as they are.
-    succ: list[list[int]] = [pattern.columns.get(j) or [] for j in range(n)]
-    # Walking the sorted successor lists in vertex order appends each
-    # predecessor list in ascending order.
+    succ = [pattern.columns.get(j, ()) for j in range(n)]
+    # Walking the sorted successors in vertex order appends each
+    # predecessor list in ascending order; each becomes a tuple at the end.
     pred: list[list[int]] = [[] for _ in range(n)]
     for u, targets in enumerate(succ):
         for v in targets:
             pred[v].append(u)
-    return SystemDigraph(n, succ, pred)
+    return SystemDigraph(n, succ, list(map(tuple, pred)))
 
 
 def pattern_of(g: SystemDigraph) -> StructPattern:
@@ -168,9 +169,10 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
     """
     n = g.n
     adj = g.successors()
-    index = [-1] * n
+    # index[v]: None while v is unvisited, its DFS index while it is on the
+    # stack, and ~c once it belongs to the c-th component popped.
+    index: list[int | None] = [None] * n
     low = [0] * n
-    comp = [-1] * n  # pop-order component id; -1 while unvisited or on the stack
     # By pop-order id: whether an edge from another component enters it.  An
     # edge to a popped vertex crosses components, and so does the tree edge
     # into a component's root.
@@ -179,7 +181,7 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
     counter = 0
 
     for root in range(n):
-        if index[root] != -1:
+        if index[root] is not None:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -190,16 +192,15 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
             v = path[-1]
             for w in frames[-1]:
                 k = index[w]
-                if k == -1:
+                if k is None:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     path.append(w)
                     frames.append(iter(adj[w]))
                     break
-                c = comp[w]
-                if c != -1:
-                    entered[c] = True
+                if k < 0:
+                    entered[~k] = True
                 elif k < low[v]:
                     low[v] = k
             else:
@@ -207,11 +208,11 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
                 path.pop()
                 lv = low[v]
                 if lv == index[v]:
-                    c = len(entered)
+                    c = ~len(entered)
                     entered.append(bool(path))
                     while True:
                         w = stack.pop()
-                        comp[w] = c
+                        index[w] = c
                         if w == v:
                             break
                 elif lv < low[path[-1]]:
@@ -221,10 +222,10 @@ def strongly_connected_components(g: SystemDigraph) -> Condensation:
     renumber = [-1] * len(entered)
     scc_of = [0] * n
     members: list[list[int]] = []
-    for v, c in enumerate(comp):
-        k = renumber[c]
+    for v, c in enumerate(index):
+        k = renumber[~c]
         if k == -1:
-            k = renumber[c] = len(members)
+            k = renumber[~c] = len(members)
             members.append([v])
         else:
             members[k].append(v)

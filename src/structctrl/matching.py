@@ -88,8 +88,7 @@ def solve_matching(
             if match_l[root] == -1:
                 _augment(root, adj, match_l, match_r, dist, dist_free, ptr)
 
-    size = sum(1 for r in match_l if r != -1)
-    return match_l, match_r, size
+    return match_l, match_r, len(match_l) - match_l.count(-1)
 
 
 def karp_sipser(
@@ -108,8 +107,8 @@ def karp_sipser(
     """
     match_l = [-1] * len(succ)
     match_r = [-1] * len(pred)
-    deg_l = [len(row) for row in succ]  # free right neighbours
-    deg_r = [len(col) for col in pred]  # free left neighbours
+    deg_l = list(map(len, succ))  # free right neighbours
+    deg_r = list(map(len, pred))  # free left neighbours
     # Vertices to match to their first free neighbour, left l as l and
     # right r as ~r: the degree-1 ones, first in first out, and when none
     # is left the lowest-index free left vertex with a free neighbour.

@@ -10,7 +10,7 @@ ground truth for the fast placement path.
 
 The matcher here is deliberately separate from ``matching.py`` so that the
 oracle shares no matching code with the placement pipeline it is meant to
-check; for the same reason the oracle reads the patterns' column lists,
+check; for the same reason the oracle reads the patterns' column tuples,
 not a digraph, and transposes them itself.  The matcher is a phase-based
 augmenting-path matcher with lookahead in the style of Pothen and Fan (see
 Duff, Kaya and Ucar, ACM TOMS 38(2), 2011): a greedy start, then phases of

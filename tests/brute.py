@@ -27,11 +27,11 @@ class BipartiteGraph:
         self.edges = frozenset(edges)
 
     def left_adjacency(self):
-        """Sorted right-neighbour lists per left vertex."""
+        """Sorted right-neighbour tuples per left vertex, as the digraph holds them."""
         adj = [[] for _ in range(self.left_size)]
         for u, v in sorted(self.edges):
             adj[u].append(v)
-        return adj
+        return list(map(tuple, adj))
 
 
 def digraph(n, edges):
@@ -39,7 +39,7 @@ def digraph(n, edges):
 
     Built without ``build_digraph``, so tests can hold the library's
     digraphs against it: each pair is range-checked, a repeated pair is one
-    edge, and both adjacency lists come out ascending.
+    edge, and both adjacency lists come out as ascending tuples.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -51,7 +51,7 @@ def digraph(n, edges):
             raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         succ[u].append(v)
         pred[v].append(u)
-    return SystemDigraph(n, succ, pred)
+    return SystemDigraph(n, list(map(tuple, succ)), list(map(tuple, pred)))
 
 
 def to_state_bipartite(g):

@@ -9,7 +9,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -242,7 +241,7 @@ def _three_files(rng, n_rows, n_cols, entries, folder):
 
 def test_formats_parse_the_same_entries_to_equal_patterns(tmp_path):
     # Repeats, empty columns and non-square shapes; each parser fills the
-    # same column lists, ascending and without repeats, and warns once.
+    # same column tuples, ascending and without repeats, and warns once.
     rng = random.Random(2027)
     words = {"edgelist": "edgelist", "pattern-json": "JSON", "mtx-pattern": "matrix"}
     for _ in range(150):
@@ -265,7 +264,7 @@ def test_formats_parse_the_same_entries_to_equal_patterns(tmp_path):
                 if dupes else []
             )
             for j, rows in parsed.columns.items():
-                assert 0 <= j < n_cols and rows and rows == sorted(set(rows))
+                assert 0 <= j < n_cols and rows and rows == tuple(sorted(set(rows)))
             assert StructPattern(parsed.n_rows, parsed.n_cols, parsed.nonzeros) == parsed
             if n_rows == n_cols:
                 g = build_digraph(parsed)
@@ -274,23 +273,26 @@ def test_formats_parse_the_same_entries_to_equal_patterns(tmp_path):
                 assert g.predecessors() == want.predecessors()
 
 
-def test_edgelist_blocks_split_lines_as_splitlines_does():
-    # The edgelist parser reads its lines a block at a time; every kind of
-    # line break splitlines knows, on either side of a block's end, must give
-    # the same lines.
+def test_edgelist_pieces_split_lines_as_splitlines_does():
+    # The edgelist parser reads its text about 64 KiB at a time; every kind
+    # of line break splitlines knows, on either side of a piece's end, must
+    # give the reference's lines, line numbers and verdict.
     rng = random.Random(64)
     breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
     for k in range(6):
-        text = "".join(rng.choice(("1 2", "", "# c", "n 5", "12 3456")) + rng.choice(breaks)
+        text = "".join(rng.choice(("1 2", "", "# c", "n 5", "12 3456", "3 1")) + rng.choice(breaks)
                        for _ in range(rng.randint(20_000, 60_000)))
         text = text.rstrip() if k % 2 else text
-        assert list(chain.from_iterable(fileio._blocks(text))) == text.splitlines()
-    assert list(fileio._blocks("")) == []
+        if k % 3 == 2:
+            text += "\nshape 4000 4000\n"  # the last size directive: no entry is out of range
+        outcome = _parse_outcome(fileio._parse_edgelist, text)
+        assert outcome == _parse_outcome(reference_parse_edgelist, text)
+        assert (outcome[0] == "pattern") == (k % 3 == 2)
 
 
 def test_edgelist_long_files_parse_as_the_reference_does():
-    # Long files span several blocks of lines; fast-path entry lines mix
-    # with lines that take the full checks, and a bad line in a late block
+    # Long files span several pieces of lines; fast-path entry lines mix
+    # with lines that take the full checks, and a bad line in a late piece
     # is still named by its line number.
     rng = random.Random(65)
     odd = ["# note", "", "n 900", "shape 900 800", "1 2 # c", "007 3", "1", "901 1", "0 1",
@@ -354,8 +356,8 @@ def _traced(fn):
 # Parse peak over the size of the frozenset of the parsed entries, which is
 # what a pattern held when it kept its entries as (row, col) tuples; that
 # is at most the size such a pattern had, so these bounds allow no more
-# bytes than they did over it.  The instance above reads 0.76 (edgelist),
-# 1.96 (JSON) and 1.27 (mtx).  Over the old pattern, with its scaffolding
+# bytes than they did over it.  The instance above reads 0.78 (edgelist),
+# 1.98 (JSON) and 1.20 (mtx).  Over the old pattern, with its scaffolding
 # dropped before the tuple set was built, it read 1.35, 2.08 and 1.35; kept
 # to the end, 1.55, 3.10 and 2.05.
 PARSE_PEAK_OVER_PATTERN = {"edgelist": 1.45, "pattern-json": 2.5, "mtx-pattern": 1.45}
@@ -370,11 +372,11 @@ def test_parse_drops_its_scaffolding_before_the_entry_set(erdos_20k_files, fmt):
 
 
 def test_cli_analyze_peaks_at_pattern_plus_digraph(erdos_20k_files, capsys):
-    # analyze drops the pattern's dict once the digraph holds its lists, and
+    # analyze drops the pattern's dict once the digraph holds its tuples, and
     # keeps no parse scaffolding, so it peaks at the larger of the parse (and
     # build) peak and the pattern plus its digraph plus the analysis's own
-    # working set.  The instance reads about 9.6 MB against a bound of about
-    # 10.4 MB; bounded by the old pattern plus its digraph, it was 16.4 MB.
+    # working set.  The instance reads about 7.7 MB against a bound of about
+    # 8.7 MB; bounded by the old pattern plus its digraph, it was 16.4 MB.
     path = str(erdos_20k_files["edgelist"])
 
     def pattern_and_digraph():
@@ -390,7 +392,7 @@ def test_cli_analyze_peaks_at_pattern_plus_digraph(erdos_20k_files, capsys):
 
 
 def test_analyze_never_reads_the_entry_pairs(tmp_path, sync6_pattern, monkeypatch, capsys):
-    # Parse, build and analyze read the column lists; the derived pairs are
+    # Parse, build and analyze read the column tuples; the derived pairs are
     # for writers only.
     paths = [tmp_path / name for name in ("a.el", "a.json", "a.mtx")]
     for path in paths:

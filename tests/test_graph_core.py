@@ -26,27 +26,27 @@ from brute import brute_condensation, digraph, random_pattern
 def test_build_digraph_worked_example(sync6_graph):
     # edges 0->0, 1->1, 0->2, 1->2, 3->2, 2->3, 4->3, 5->3, 3->4, 3->5
     assert sync6_graph.n == 6
-    assert sync6_graph.successors() == [[0, 2], [1, 2], [3], [2, 4, 5], [3], [3]]
-    assert sync6_graph.predecessors() == [[0], [1], [0, 1, 3], [2, 4, 5], [3], [3]]
+    assert sync6_graph.successors() == [(0, 2), (1, 2), (3,), (2, 4, 5), (3,), (3,)]
+    assert sync6_graph.predecessors() == [(0,), (1,), (0, 1, 3), (2, 4, 5), (3,), (3,)]
 
 
 def test_build_digraph_empty_single_vertex():
     g = build_digraph(StructPattern(1, 1, frozenset()))
-    assert g.n == 1 and g.successors() == [[]] and g.predecessors() == [[]]
+    assert g.n == 1 and g.successors() == [()] and g.predecessors() == [()]
 
 
 def test_build_digraph_shift_pattern_is_path():
     # entries (2,1) and (3,2) one-based: x1 -> x2 -> x3
     g = build_digraph(StructPattern(3, 3, {(1, 0), (2, 1)}))
-    assert g.successors() == [[1], [2], []]
-    assert g.predecessors() == [[], [0], [1]]
+    assert g.successors() == [(1,), (2,), ()]
+    assert g.predecessors() == [(), (0,), (1,)]
 
 
 def test_digraph_keeps_only_its_adjacency():
     g = digraph(3, iter([(1, 2), (0, 1), (1, 2), (0, 0)]))
     assert not hasattr(g, "edges")
-    assert g.successors() == [[0, 1], [2], []]
-    assert g.predecessors() == [[0], [0], [1]]
+    assert g.successors() == [(0, 1), (2,), ()]
+    assert g.predecessors() == [(0,), (0,), (1,)]
     assert g == digraph(3, {(0, 0), (0, 1), (1, 2)})
     assert g != digraph(3, {(0, 0), (0, 1)})
     assert hash(g) == hash(digraph(3, {(0, 0), (0, 1), (1, 2)}))
@@ -214,7 +214,7 @@ def _sorted_lists(n, pairs):
     lists = [[] for _ in range(n)]
     for u, v in pairs:
         lists[u].append(v)
-    return [sorted(lst) for lst in lists]
+    return [tuple(sorted(lst)) for lst in lists]
 
 
 def test_adjacency_is_built_once_and_never_mutated():
@@ -236,9 +236,9 @@ def test_adjacency_is_built_once_and_never_mutated():
 
 
 def test_no_stage_mutates_the_parsed_column_lists(tmp_path):
-    # The digraph's successor lists are the pattern's column lists, so every
-    # stage that reads them must leave the parsed pattern as a fresh parse
-    # of its file gives it.
+    # The digraph's successor tuples are the pattern's column tuples, so
+    # every stage that reads them must leave the parsed pattern as a fresh
+    # parse of its file gives it.
     rng = random.Random(29)
     for k in range(60):
         n = rng.randint(1, 9)
@@ -308,4 +308,4 @@ def test_digraph_has_one_constructor(monkeypatch):
     monkeypatch.setattr(SystemDigraph, "__init__", counting)
     g = build_digraph(StructPattern(2, 2, {(1, 0)}))
     g.reversed()
-    assert calls == [(2, [[1], []], [[], [0]]), (2, [[], [0]], [[1], []])]
+    assert calls == [(2, [(1,), ()], [(), (0,)]), (2, [(), (0,)], [(1,), ()])]
