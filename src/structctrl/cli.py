@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import statistics
 import sys
 import time
 import warnings
@@ -282,6 +281,8 @@ def _cmd_bench(args) -> int:
         })
     exponent = None
     if len({r["n"] for r in rows}) >= 2:
+        import statistics  # only bench reads it, so other commands start without it
+
         xs = [math.log10(r["n"]) for r in rows]
         ys = [math.log10(max(r["seconds"], 1e-9)) for r in rows]
         exponent = round(statistics.linear_regression(xs, ys).slope, 3)
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="1000,10000,50000")
     p.add_argument("--degree", type=float, default=5.0)
     p.add_argument("--seed", type=_int, default=0)
-    common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -21,12 +21,65 @@ happens at the I/O boundary only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 
-@dataclass(frozen=True, init=False)
-class StructPattern:
+class _Record:
+    """Base of the library's immutable records.
+
+    A record lists its fields in ``__slots__`` and its own ``__init__`` sets
+    each once with ``object.__setattr__``; assigning to or deleting a field
+    afterwards raises ``AttributeError``.  Two records are equal when they
+    are of the same class and their compared fields are equal, the hash
+    reads the compared fields and the repr lists the fields in order.  The
+    class keywords ``not_compared``, ``not_hashed`` and ``not_shown`` leave
+    fields out of each.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, not_compared=(), not_hashed=(), not_shown=()) -> None:
+        super().__init_subclass__()
+        cls._compare = tuple(f for f in cls.__slots__ if f not in not_compared)
+        cls._hashed = tuple(f for f in cls._compare if f not in not_hashed)
+        cls._shown = tuple(f for f in cls.__slots__ if f not in not_shown)
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compare) == other._values(self._compare)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._hashed))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._values(self.__slots__))
+
+
+def _rebuild(cls: type, values: tuple) -> _Record:
+    """A record of class ``cls`` holding ``values`` in its field order, made
+    without calling its ``__init__``: for ``StructPattern._prechecked`` and
+    for the pickle and copy modules."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class StructPattern(_Record, not_hashed=("columns",)):
     """Sparsity pattern of a matrix, held once as its column tuples.
 
     ``columns`` maps each column that has entries to a tuple of its rows,
@@ -34,12 +87,11 @@ class StructPattern:
     and Reid, *Direct Methods for Sparse Matrices*, ch. 2), O(entries)
     however many columns are declared.  Of a square pattern, column j's
     rows are the successors of j, and ``build_digraph`` takes the tuples as
-    they are.  ``nonzeros`` derives the entry pairs.
+    they are.  ``nonzeros`` derives the entry pairs.  The hash reads the
+    dimensions only.
     """
 
-    n_rows: int
-    n_cols: int
-    columns: dict[int, tuple[int, ...]] = field(hash=False)
+    __slots__ = ("n_rows", "n_cols", "columns")
 
     def __init__(self, n_rows: int, n_cols: int, pairs: Iterable[tuple[int, int]]) -> None:
         if n_rows < 0 or n_cols < 0:
@@ -49,16 +101,15 @@ class StructPattern:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} pattern")
             columns.setdefault(j, []).append(i)
-        columns = {j: tuple(rows) for j, rows in columns.items()}
-        vars(self).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "columns", {j: tuple(rows) for j, rows in columns.items()})
 
     @classmethod
     def _prechecked(cls, n_rows: int, n_cols: int, columns: dict) -> "StructPattern":
         """A pattern of column tuples that the parsers and the library's own
         builders have range-checked, sorted and deduplicated."""
-        pattern = object.__new__(cls)
-        vars(pattern).update(n_rows=n_rows, n_cols=n_cols, columns=columns)
-        return pattern
+        return _rebuild(cls, (n_rows, n_cols, columns))
 
     @property
     def nonzeros(self) -> frozenset[tuple[int, int]]:
@@ -78,20 +129,27 @@ class StructPattern:
         return StructPattern(self.n_cols, self.n_rows, entries)
 
 
-@dataclass(frozen=True)
-class SystemDigraph:
+class SystemDigraph(
+    _Record, not_compared=("_pred",), not_hashed=("_succ",), not_shown=("_succ", "_pred")
+):
     """Influence digraph over the state vertices 0..n-1, as its adjacency tuples.
 
     ``_succ[u]`` is the tuple of the successors of u and ``_pred[v]`` that
     of the predecessors of v, each ascending and duplicate-free; a
     self-loop is allowed.  The two lists hold the same edges, and nothing
     else keeps a copy of them.  ``build_digraph`` makes them from a pattern
-    and ``reversed`` swaps them; this class only holds them.
+    and ``reversed`` swaps them; this class only holds them.  Equality
+    reads ``n`` and the successor lists, the hash and the repr ``n`` only.
     """
 
-    n: int
-    _succ: list[tuple[int, ...]] = field(repr=False, hash=False)
-    _pred: list[tuple[int, ...]] = field(repr=False, compare=False)
+    __slots__ = ("n", "_succ", "_pred")
+
+    def __init__(
+        self, n: int, _succ: list[tuple[int, ...]], _pred: list[tuple[int, ...]]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_succ", _succ)
+        object.__setattr__(self, "_pred", _pred)
 
     def successors(self) -> list[tuple[int, ...]]:
         """Successor tuples (ascending), built once and shared: do not mutate the list."""
@@ -108,8 +166,7 @@ class SystemDigraph:
         return SystemDigraph(self.n, self._pred, self._succ)
 
 
-@dataclass(frozen=True, slots=True)
-class Condensation:
+class Condensation(_Record):
     """SCC partition of a digraph and its source components.
 
     Component ids are renumbered so that component k has the k-th smallest
@@ -119,9 +176,17 @@ class Condensation:
     influence.
     """
 
-    scc_of: tuple[int, ...]
-    scc_members: tuple[tuple[int, ...], ...]
-    non_top_linked: frozenset[int]
+    __slots__ = ("scc_of", "scc_members", "non_top_linked")
+
+    def __init__(
+        self,
+        scc_of: tuple[int, ...],
+        scc_members: tuple[tuple[int, ...], ...],
+        non_top_linked: frozenset[int],
+    ) -> None:
+        object.__setattr__(self, "scc_of", scc_of)
+        object.__setattr__(self, "scc_members", scc_members)
+        object.__setattr__(self, "non_top_linked", non_top_linked)
 
     @property
     def n_sccs(self) -> int:

@@ -24,7 +24,7 @@ the same matching.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from collections.abc import Sequence
 
 _INF = float("inf")
 

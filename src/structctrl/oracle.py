@@ -24,21 +24,30 @@ the states need start none.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Sequence
 
-from .graph_core import StructPattern, build_digraph, strongly_connected_components
+from .graph_core import StructPattern, _Record, build_digraph, strongly_connected_components
 
 _PRIME = (1 << 61) - 1  # a Mersenne prime
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    controllable: bool
-    accessibility_ok: bool
-    dilation_free: bool
-    numeric_rank: int | None = None
+class OracleVerdict(_Record):
+    """Verdict of :func:`is_structurally_controllable`."""
+
+    __slots__ = ("controllable", "accessibility_ok", "dilation_free", "numeric_rank")
+
+    def __init__(
+        self,
+        controllable: bool,
+        accessibility_ok: bool,
+        dilation_free: bool,
+        numeric_rank: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "controllable", controllable)
+        object.__setattr__(self, "accessibility_ok", accessibility_ok)
+        object.__setattr__(self, "dilation_free", dilation_free)
+        object.__setattr__(self, "numeric_rank", numeric_rank)
 
 
 def _augmenting_matcher(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:

@@ -43,21 +43,20 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 
 from .graph_core import (
     Condensation,
     StructPattern,
     SystemDigraph,
+    _Record,
     build_digraph,
     strongly_connected_components,
 )
 from .matching import karp_sipser, solve_matching
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementSummary:
+class PlacementSummary(_Record, not_compared=("absorbed",), not_shown=("witness", "absorbed")):
     """Result of the fast placement analysis.
 
     ``witness`` is the maximum matching the counts were read off, as
@@ -67,32 +66,58 @@ class PlacementSummary:
     own source SCC and every one in ``open_sccs``, the source SCCs the other
     roots can hand their freedom to.  ``absorbed`` is the witness with its
     source SCCs absorbed: the real and auxiliary ``match_l`` (auxiliary k is
-    left vertex n + k) and ``match_r``.
+    left vertex n + k) and ``match_r``.  Equality and the hash ignore
+    ``absorbed``, and the repr lists neither matching.
     """
 
-    m: int
-    beta: int
-    alpha: int
-    p: int
-    witness: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False)
-    assignable_vertices: frozenset[int]
-    open_sccs: frozenset[int]
-    condensation: Condensation
-    absorbed: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
+    __slots__ = (
+        "m", "beta", "alpha", "p", "witness", "assignable_vertices", "open_sccs",
+        "condensation", "absorbed",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        beta: int,
+        alpha: int,
+        p: int,
+        witness: tuple[tuple[int, ...], tuple[int, ...]],
+        assignable_vertices: frozenset[int],
+        open_sccs: frozenset[int],
+        condensation: Condensation,
+        absorbed: tuple[tuple[int, ...], tuple[int, ...]],
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "assignable_vertices", assignable_vertices)
+        object.__setattr__(self, "open_sccs", open_sccs)
+        object.__setattr__(self, "condensation", condensation)
+        object.__setattr__(self, "absorbed", absorbed)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationResult:
+class EnumerationResult(_Record, not_compared=("_state_sets",), not_shown=("_state_sets",)):
     """Placements listed, each the set of states that get a dedicated input,
     and whether ``limit`` cut the list short.  The placements are
     controllable by construction, so ``oracle_rejections`` is always 0; it
     stays only because ``perfbench/workloads.py`` and ``perfbench/tracer.py``
-    read it."""
+    read it.  Equality, the hash and the repr ignore ``_state_sets``."""
 
-    configurations: tuple[frozenset[int], ...]
-    truncated: bool
-    _state_sets: frozenset[frozenset[int]] = field(repr=False, compare=False)
-    oracle_rejections: int = 0
+    __slots__ = ("configurations", "truncated", "_state_sets", "oracle_rejections")
+
+    def __init__(
+        self,
+        configurations: tuple[frozenset[int], ...],
+        truncated: bool,
+        _state_sets: frozenset[frozenset[int]],
+        oracle_rejections: int = 0,
+    ) -> None:
+        object.__setattr__(self, "configurations", configurations)
+        object.__setattr__(self, "truncated", truncated)
+        object.__setattr__(self, "_state_sets", _state_sets)
+        object.__setattr__(self, "oracle_rejections", oracle_rejections)
 
     def __iter__(self):
         return iter(self.configurations)
@@ -105,17 +130,20 @@ class EnumerationResult:
         return self._state_sets
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementDesign:
+class PlacementDesign(_Record):
     """Bundle returned by the end-to-end design helpers."""
 
-    summary: PlacementSummary
-    enumeration: EnumerationResult
+    __slots__ = ("summary", "enumeration")
+
+    def __init__(self, summary: PlacementSummary, enumeration: EnumerationResult) -> None:
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "enumeration", enumeration)
 
 
 # ---------------------------------------------------------------------------
-# Internal helpers on raw adjacency arrays.  The public operations convert
-# the immutable dataclasses once and stay on arrays afterwards.
+# Internal helpers on raw adjacency arrays.  The public operations read the
+# digraph's lists and the summary's match tuples once and stay on arrays
+# afterwards.
 # ---------------------------------------------------------------------------
 
 
@@ -486,7 +514,7 @@ def emit_input_matrix(states: Collection[int], n: int) -> StructPattern:
     for s in ordered:
         if not (0 <= s < n):
             raise ValueError(f"state {s} outside range 0..{n - 1}")
-    return StructPattern._prechecked(n, len(ordered), {k: [s] for k, s in enumerate(ordered)})
+    return StructPattern._prechecked(n, len(ordered), {k: (s,) for k, s in enumerate(ordered)})
 
 
 def emit_output_matrix(states: Collection[int], n: int) -> StructPattern:

@@ -1092,9 +1092,19 @@ def test_cli_bench_refuses_sizes_above_the_limit_before_running(capsys, monkeypa
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(["--sizes", "1000,abc"], "--sizes"), (["--sizes", "5", "--degree", "10"], "--degree")],
+    [
+        (["--sizes", "1000,abc"], "--sizes"),
+        (["--sizes", "5", "--degree", "10"], "--degree"),
+        # bench generates its patterns, so it has no file format to override.
+        (["--input-format", "edgelist"], "--input-format"),
+    ],
 )
 def test_cli_bench_errors_name_its_own_flags(capsys, argv, flag):
     assert run_cli(["bench", *argv]) == 2
     err = capsys.readouterr().err
+    if flag == "--input-format":  # a usage error, which argparse reports
+        assert err.splitlines()[-1] == (
+            "structctrl: error: unrecognized arguments: --input-format edgelist"
+        ), err
+        return
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err

@@ -19,6 +19,7 @@ from structctrl import (
     min_dedicated_inputs,
     natural_partitions,
     parse_pattern,
+    write_pattern,
 )
 from structctrl.graph_core import strongly_connected_components
 from structctrl import placement
@@ -396,6 +397,15 @@ def test_emit_input_matrix_goldens():
     assert b.nonzeros == frozenset({(0, 0), (1, 1), (5, 2)})
     b = emit_input_matrix(frozenset({0}), 1)
     assert (b.n_rows, b.n_cols, b.nonzeros) == (1, 1, frozenset({(0, 0)}))
+
+
+def test_emitted_b_equals_the_built_pattern_and_its_round_trip(tmp_path):
+    b = emit_input_matrix({0, 2}, 4)
+    assert b == StructPattern(4, 2, {(0, 0), (2, 1)})
+    assert all(type(rows) is tuple for rows in b.columns.values())
+    for name in ("b.el", "b.json", "b.mtx"):
+        write_pattern(b, tmp_path / name)
+        assert parse_pattern(tmp_path / name) == b
 
 
 def test_emit_input_matrix_rejects_out_of_range():
